@@ -1,9 +1,8 @@
 // Campaign throughput harness: traces/sec and toggle-activity MB/s of the
 // trace-collection engine on the DES TVLA workload (the paper's dominant
 // cost: Sec. VII campaigns at up to 50M traces), swept over the scaling
-// axes -- worker count, lanes per pass, and simulation backend
-// (event = the PR-2 priority-queue engines, scalar at 1 lane and
-// bitsliced at 64; compiled = the levelized straight-line replay of
+// axes -- worker count and lanes per pass (scalar = the reference
+// EventSimulator at 1 lane; compiled = the lane engine of
 // sim/compiled_simulator.hpp at 64/128/256/512 lanes).
 // Emits JSON -- one object, schema documented in EXPERIMENTS.md -- to
 // stdout and to BENCH_batch_sim.json so future PRs can track the perf
@@ -12,8 +11,8 @@
 // Every row replays the identical campaign (counter-based per-trace
 // seeding, one shared block size of 512 so wide compiled passes fill
 // their lanes), so the max|t| column doubles as a live equivalence
-// check: all rows -- across worker counts, lane widths AND backends --
-// must agree bit-for-bit.
+// check: all rows -- across worker counts, lane widths, checkpointing
+// and attribution -- must agree bit-for-bit.
 //
 // Scale with GLITCHMASK_TRACES (default 1024) and GLITCHMASK_NOISE; note
 // that meaningful worker speedups need as many physical cores as workers
@@ -46,6 +45,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -79,8 +79,20 @@ constexpr double kBytesPerToggle = 16.0;
 /// every row folds the accumulators at the same 64-trace granularity.
 constexpr std::size_t kBlockSize = 512;
 
+/// Best-of repetitions per timed overhead pair.  At CI's 256 traces the
+/// 64-lane engine finishes a run in ~0.6 s; three repetitions of runs
+/// that short leave the minimum swinging by several percent on a shared
+/// host, which trips the 1%-5% gates on noise alone.  Seven keep the
+/// total timed wall time where the gates were calibrated (three runs of
+/// ~1.2 s each on the retired, 2.3x slower event engine).
+constexpr int kOverheadReps = 7;
+
+/// Best-of repetitions for the scalar and compiled-64 rows, the two
+/// sides of the gated compiled64_speedup_1worker headline.
+constexpr int kHeadlineReps = 3;
+
 struct Series {
-    std::string backend = "event";
+    std::string backend = "compiled";
     unsigned lanes = 0;
     unsigned workers = 0;
     std::size_t checkpoint_every = 0;  // blocks between snapshots; 0 = off
@@ -138,7 +150,7 @@ unsigned physical_core_count() {
 int main(int argc, char** argv) {
     const bench::CliOptions cli = bench::parse_cli(argc, argv);
     bench::banner(
-        "Campaign throughput: DES TVLA, event (scalar/bitsliced) vs compiled");
+        "Campaign throughput: DES TVLA, scalar vs compiled lane engine");
 
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::size_t traces = static_cast<std::size_t>(
@@ -146,9 +158,10 @@ int main(int argc, char** argv) {
                                          bench::scaled_traces(1024))));
     const double noise = env_double("GLITCHMASK_NOISE", 1.0);
 
-    // Telemetry cost check: identical 64-lane 1-worker campaigns with the
-    // registry off vs on, best of three each (no report path here -- a
-    // report would force telemetry on and void the "off" timings).
+    // Telemetry cost check: identical default-width (64-lane) 1-worker
+    // campaigns with the registry off vs on, best of kOverheadReps each (no
+    // report path here -- a report would force telemetry on and void the
+    // "off" timings).
     auto time_once = [&](bool telemetry_on) {
         telemetry::set_enabled(telemetry_on);
         eval::DesTvlaConfig config;
@@ -158,7 +171,6 @@ int main(int argc, char** argv) {
         config.seed = 7;
         config.workers = 1;
         config.lanes = 64;
-        config.run.backend = "event";
         const auto start = std::chrono::steady_clock::now();
         (void)eval::run_des_tvla(core, config);
         const auto stop = std::chrono::steady_clock::now();
@@ -166,7 +178,7 @@ int main(int argc, char** argv) {
     };
     double best_off = std::numeric_limits<double>::infinity();
     double best_on = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kOverheadReps; ++rep) {
         best_off = std::min(best_off, time_once(false));
         best_on = std::min(best_on, time_once(true));
     }
@@ -187,7 +199,6 @@ int main(int argc, char** argv) {
         config.seed = 7;
         config.workers = 1;
         config.lanes = 64;
-        config.run.backend = "event";
         const auto start = std::chrono::steady_clock::now();
         (void)eval::run_des_tvla(core, config);
         const auto stop = std::chrono::steady_clock::now();
@@ -200,7 +211,7 @@ int main(int argc, char** argv) {
     double best_trace_base = std::numeric_limits<double>::infinity();
     double best_trace_off = std::numeric_limits<double>::infinity();
     double best_trace_on = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kOverheadReps; ++rep) {
         best_trace_base = std::min(best_trace_base, time_traced(false));
         best_trace_off = std::min(best_trace_off, time_traced(false));
         best_trace_on = std::min(best_trace_on, time_traced(true));
@@ -218,9 +229,9 @@ int main(int argc, char** argv) {
     // timing off-vs-off pairs bounds the residual cost of the plumbing
     // (a never-taken branch per trace) plus measurement noise; the CI
     // gate holds that to <= 1%.  The on-cost scales with the watched
-    // point count (here the S-box scope); since the probe batches its
-    // per-toggle deposit (one SWAR add per 8 lanes instead of a
-    // per-lane loop), CI holds it to <= 30% on the 64-lane engine.
+    // point count (here the S-box scope); with bit-plane lane counters
+    // (one branch-free ripple-carry add per deposit, a popcount fold
+    // per window) CI holds it to <= 30% on the 64-lane engine.
     auto time_attribution = [&](bool attribute) {
         eval::DesTvlaConfig config;
         config.traces = traces;
@@ -229,7 +240,6 @@ int main(int argc, char** argv) {
         config.seed = 7;
         config.workers = 1;
         config.lanes = 64;
-        config.run.backend = "event";
         config.run.attribution = attribute;
         config.run.attribution_scope = "sbox";
         const auto start = std::chrono::steady_clock::now();
@@ -240,7 +250,7 @@ int main(int argc, char** argv) {
     double best_plain = std::numeric_limits<double>::infinity();
     double best_attr_off = std::numeric_limits<double>::infinity();
     double best_attr_on = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kOverheadReps; ++rep) {
         best_plain = std::min(best_plain, time_attribution(false));
         best_attr_off = std::min(best_attr_off, time_attribution(false));
         best_attr_on = std::min(best_attr_on, time_attribution(true));
@@ -322,9 +332,14 @@ int main(int argc, char** argv) {
     std::vector<Series> series;
     const std::string snapshot_path = "BENCH_checkpoint.gmsnap";
 
-    auto run_row = [&](const std::string& backend, unsigned lanes,
-                       unsigned workers, std::size_t checkpoint_every,
-                       bool attribute = false) {
+    auto run_row = [&](unsigned lanes, unsigned workers,
+                       std::size_t checkpoint_every, bool attribute = false,
+                       int repeats = 1) {
+        // The scalar reference row keeps its historical label: it is
+        // still the event-driven EventSimulator, and the results ledger
+        // builds a bench row's fingerprint from this string, so a new
+        // label would cut the row off from its history.
+        const std::string backend = lanes == 1 ? "event" : "compiled";
         eval::DesTvlaConfig config;
         config.traces = traces;
         config.block_size = kBlockSize;
@@ -332,24 +347,34 @@ int main(int argc, char** argv) {
         config.seed = 7;
         config.workers = workers;
         config.lanes = lanes;
-        config.run.backend = backend;
         config.run.report_path = cli.report_path;
         config.run.attribution = attribute;
         config.run.attribution_scope = "sbox";
         if (checkpoint_every > 0) {
-            // Fresh file each run: a leftover snapshot would resume (and
-            // "finish" instantly), voiding the timing.
-            std::remove(snapshot_path.c_str());
             config.run.checkpoint_path = snapshot_path;
             config.run.checkpoint_every = checkpoint_every;
         }
 
-        // Fresh registry per row so Max counters (queue peak) are row-local.
-        telemetry::reset();
-        const auto start = std::chrono::steady_clock::now();
-        const eval::DesTvlaResult r = eval::run_des_tvla(core, config);
-        const auto stop = std::chrono::steady_clock::now();
-        const telemetry::Snapshot counters = telemetry::snapshot();
+        // Best of `repeats` runs: the result and every counter repeat
+        // exactly (the engine is deterministic), only the clock differs.
+        double seconds = std::numeric_limits<double>::infinity();
+        std::optional<eval::DesTvlaResult> result;
+        telemetry::Snapshot counters;
+        for (int rep = 0; rep < repeats; ++rep) {
+            // Fresh file each run: a leftover snapshot would resume (and
+            // "finish" instantly), voiding the timing.
+            if (checkpoint_every > 0) std::remove(snapshot_path.c_str());
+            // Fresh registry per run so Max counters (queue peak) are
+            // row-local.
+            telemetry::reset();
+            const auto start = std::chrono::steady_clock::now();
+            result.emplace(eval::run_des_tvla(core, config));
+            const auto stop = std::chrono::steady_clock::now();
+            counters = telemetry::snapshot();
+            seconds = std::min(
+                seconds, std::chrono::duration<double>(stop - start).count());
+        }
+        const eval::DesTvlaResult& r = *result;
 
         Series s;
         s.backend = backend;
@@ -358,7 +383,7 @@ int main(int argc, char** argv) {
         s.checkpoint_every = checkpoint_every;
         s.attribution = attribute;
         s.oversubscribed = workers > physical_cores;
-        s.seconds = std::chrono::duration<double>(stop - start).count();
+        s.seconds = seconds;
         s.traces_per_sec = static_cast<double>(r.traces) / s.seconds;
         s.toggle_mb_per_sec =
             static_cast<double>(r.toggles) * kBytesPerToggle / 1e6 / s.seconds;
@@ -396,23 +421,27 @@ int main(int argc, char** argv) {
         return s;
     };
 
-    // Event axis: the scalar baseline, then the bitsliced engine across
-    // workers.
-    run_row("event", 1, 1, /*checkpoint_every=*/0);
-    const Series event64_1w = run_row("event", 64, 1, 0);
-    const Series event64_2w = run_row("event", 64, 2, 0);
-
-    // Compiled axis: lane-width sweep at one worker, then workers on the
-    // widest pass.  The fastest width carries the headline: wider is not
-    // always faster once the lane-word state outgrows L2, so the sweep
-    // itself picks the per-machine sweet spot.
+    // The scalar reference, then the lane-width sweep at one worker, then
+    // workers on the default and the widest pass.  The fastest width
+    // carries compiled_best_lanes: wider is not always faster once the
+    // lane-word state outgrows L2, so the sweep itself picks the
+    // per-machine sweet spot.
+    // The two rows behind the gated compiled64_speedup_1worker headline
+    // are timed best of kHeadlineReps (both sides alike): a single
+    // sub-second compiled-64 run swings the ratio by +-10% on a shared
+    // host.
+    run_row(1, 1, /*checkpoint_every=*/0, false, kHeadlineReps);
+    Series compiled64_1w;
     Series compiled_best_1w;
     compiled_best_1w.seconds = std::numeric_limits<double>::infinity();
     for (const unsigned lanes : {64u, 128u, 256u, 512u}) {
-        const Series s = run_row("compiled", lanes, 1, 0);
+        const Series s =
+            run_row(lanes, 1, 0, false, lanes == 64 ? kHeadlineReps : 1);
+        if (lanes == 64) compiled64_1w = s;
         if (s.seconds < compiled_best_1w.seconds) compiled_best_1w = s;
     }
-    run_row("compiled", 512, 2, 0);
+    const Series compiled64_2w = run_row(64, 2, 0);
+    run_row(512, 2, 0);
 
     // Crash-safe runtime axis: same campaign with periodic snapshots.  The
     // merge-frontier checkpoint is O(log blocks) accumulators, so even the
@@ -420,15 +449,15 @@ int main(int argc, char** argv) {
     // within a few percent of the plain run (acceptance bar: <= 5%).
     double checkpoint_overhead = 0.0;
     for (const std::size_t every : {4u, 1u}) {
-        const Series s = run_row("event", 64, 2, every);
-        checkpoint_overhead =
-            std::max(checkpoint_overhead, s.seconds / event64_2w.seconds - 1.0);
+        const Series s = run_row(64, 2, every);
+        checkpoint_overhead = std::max(checkpoint_overhead,
+                                       s.seconds / compiled64_2w.seconds - 1.0);
     }
-    // Attribution axis: same campaign with S-box probe taps, both
-    // backends.  Rides the determinism check below -- the probe must not
-    // perturb the power statistics by a single bit.
-    run_row("event", 64, 1, /*checkpoint_every=*/0, /*attribute=*/true);
-    run_row("compiled", 512, 1, /*checkpoint_every=*/0, /*attribute=*/true);
+    // Attribution axis: same campaign with S-box probe taps at the default
+    // and the widest pass.  Rides the determinism check below -- the
+    // probe must not perturb the power statistics by a single bit.
+    run_row(64, 1, /*checkpoint_every=*/0, /*attribute=*/true);
+    run_row(512, 1, /*checkpoint_every=*/0, /*attribute=*/true);
     std::remove(snapshot_path.c_str());
     table.print();
 
@@ -436,15 +465,15 @@ int main(int argc, char** argv) {
     for (const Series& s : series)
         deterministic &= (s.max_abs_t1 == series.front().max_abs_t1) &&
                          (s.toggles == series.front().toggles);
-    std::printf("\nEquivalence across workers, backends, lane widths and "
-                "checkpointing: %s\n",
+    std::printf("\nEquivalence across workers, lane widths, checkpointing "
+                "and attribution: %s\n",
                 deterministic ? "bit-identical" : "MISMATCH (bug!)");
-    std::printf("Checkpoint overhead (worst cadence, event-64 / 2 workers): "
+    std::printf("Checkpoint overhead (worst cadence, compiled-64 / 2 workers): "
                 "%.2f%%\n",
                 checkpoint_overhead * 100.0);
-    std::printf("Telemetry overhead (event-64 / 1 worker, best of 3): "
+    std::printf("Telemetry overhead (compiled-64 / 1 worker, best of %d): "
                 "%.2f%%\n",
-                telemetry_overhead * 100.0);
+                kOverheadReps, telemetry_overhead * 100.0);
     std::printf("Tracing-off overhead (must be noise): %.2f%%   "
                 "tracing-on cost (block+phase spans): %.2f%%\n",
                 trace_off_overhead * 100.0, trace_overhead * 100.0);
@@ -461,16 +490,13 @@ int main(int argc, char** argv) {
                     ? " (multi-worker rows flagged oversubscribed)"
                     : "");
 
-    // The headline numbers, both per-core: the PR-2 bitslicing gain
-    // (scalar -> 64-lane event) and this PR's compiled-replay gain on top
-    // (64-lane event -> the best compiled lane width at 1 worker).
-    const double batch_speedup_1w =
-        series.front().seconds / event64_1w.seconds;
-    const double compiled_speedup_1w =
-        event64_1w.seconds / compiled_best_1w.seconds;
-    std::printf("Bitsliced speedup at 1 worker: %.2fx\n", batch_speedup_1w);
-    std::printf("Compiled-%u speedup over event-64 at 1 worker: %.2fx\n",
-                compiled_best_1w.lanes, compiled_speedup_1w);
+    // The headline number, per core: the lane engine at its default width
+    // over the scalar reference.
+    const double compiled64_speedup_1w =
+        series.front().seconds / compiled64_1w.seconds;
+    std::printf("Compiled-64 speedup over scalar at 1 worker: %.2fx "
+                "(fastest width: %u lanes)\n",
+                compiled64_speedup_1w, compiled_best_1w.lanes);
 
     std::string json = "{\n  \"workload\": \"des_ff_tvla\",\n";
     json += "  \"revision\": \"" + git_revision() + "\",\n";
@@ -484,12 +510,10 @@ int main(int argc, char** argv) {
             ",\n";
     json += std::string("  \"deterministic\": ") +
             (deterministic ? "true" : "false") + ",\n";
-    json += "  \"batch_speedup_1worker\": " +
-            TablePrinter::num(batch_speedup_1w, 3) + ",\n";
+    json += "  \"compiled64_speedup_1worker\": " +
+            TablePrinter::num(compiled64_speedup_1w, 3) + ",\n";
     json += "  \"compiled_best_lanes\": " +
             std::to_string(compiled_best_1w.lanes) + ",\n";
-    json += "  \"compiled_speedup_1worker\": " +
-            TablePrinter::num(compiled_speedup_1w, 3) + ",\n";
     json += "  \"checkpoint_overhead\": " +
             TablePrinter::num(checkpoint_overhead, 4) + ",\n";
     json += "  \"telemetry_overhead\": " +

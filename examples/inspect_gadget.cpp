@@ -8,7 +8,6 @@
 //
 //   inspect_gadget [gadget] [--attribute] [--top-k <n>]
 //                  [--progress[=s]] [--report <path>]
-//                  [--backend <event|compiled>]
 //
 // gadget: naive | ff | pd | trichina | dom-indep | dom-dep (default pd).
 // Try `inspect_gadget trichina --attribute`: the top-ranked net is the
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
     config.run.attribution = cli.attribute;
     config.run.attribution_top_k = cli.top_k;
     config.run.report_path = cli.report_path;
-    config.run.backend = cli.backend;  // campaign backend; identical stats
 
     std::printf("Inspecting %s (zoo harness: %u replicas)\n\n", name.c_str(),
                 config.replicas);

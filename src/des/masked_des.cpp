@@ -3,7 +3,6 @@
 #include <string>
 
 #include "des/des_reference.hpp"
-#include "support/bits.hpp"
 
 namespace glitchmask::des {
 
@@ -209,67 +208,6 @@ void MaskedDesCore::build_datapath() {
         Bus& ct = (s == 0) ? ct_s0_ : ct_s1_;
         ct = wire_perm(preoutput, table_fp());
     }
-}
-
-namespace {
-
-/// Drives `bus` (MSB-first) to per-lane values: vals[l] is lane l's word.
-/// transpose64 turns the 64 per-trace words into one lane word per bit
-/// position; bus[i] carries value bit size-1-i.
-void set_word_batch(sim::BatchClockedSim& sim, const Bus& bus,
-                    const std::array<std::uint64_t, sim::kBatchLanes>& vals) {
-    std::array<std::uint64_t, sim::kBatchLanes> m = vals;
-    transpose64(m);
-    for (std::size_t i = 0; i < bus.size(); ++i)
-        sim.set_input_word(bus[i], m[bus.size() - 1 - i]);
-}
-
-/// Reads `bus` back into per-lane words (the inverse lane transposition;
-/// transpose64 is an involution).
-std::array<std::uint64_t, sim::kBatchLanes> read_word_batch(
-    const sim::BatchClockedSim& sim, const Bus& bus) {
-    std::array<std::uint64_t, sim::kBatchLanes> m{};
-    for (std::size_t i = 0; i < bus.size(); ++i)
-        m[bus.size() - 1 - i] = sim.word(bus[i]);
-    transpose64(m);
-    return m;
-}
-
-}  // namespace
-
-std::array<MaskedWord, sim::kBatchLanes> MaskedDesCore::encrypt_batch(
-    sim::BatchClockedSim& sim, std::span<const MaskedWord> pt,
-    std::span<const MaskedWord> key, std::span<Xoshiro256> prngs) const {
-    std::array<std::uint64_t, sim::kBatchLanes> pt0{}, pt1{}, k0{}, k1{};
-    for (std::size_t lane = 0; lane < pt.size(); ++lane) {
-        pt0[lane] = pt[lane].s0;
-        pt1[lane] = pt[lane].s1;
-        k0[lane] = key[lane].s0;
-        k1[lane] = key[lane].s1;
-    }
-    set_word_batch(sim, pt_s0_, pt0);
-    set_word_batch(sim, pt_s1_, pt1);
-    set_word_batch(sim, key_s0_, k0);
-    set_word_batch(sim, key_s1_, k1);
-    set_rand(sim, prngs);
-    sim.set_input(load_sel_, true);
-    sim.set_input(shift_one_, true);  // round 1 shifts by 1
-    sim.step();                       // stimulus lands
-
-    switch (options_.flavor) {
-        case CoreFlavor::FF: run_rounds_ff(sim, prngs); break;
-        case CoreFlavor::PD: run_rounds_pd(sim, prngs); break;
-        case CoreFlavor::DOM: run_rounds_dom(sim, prngs); break;
-    }
-
-    const std::array<std::uint64_t, sim::kBatchLanes> ct0 =
-        read_word_batch(sim, ct_s0_);
-    const std::array<std::uint64_t, sim::kBatchLanes> ct1 =
-        read_word_batch(sim, ct_s1_);
-    std::array<MaskedWord, sim::kBatchLanes> ct;
-    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
-        ct[lane] = MaskedWord{ct0[lane], ct1[lane]};
-    return ct;
 }
 
 }  // namespace glitchmask::des

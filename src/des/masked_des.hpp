@@ -34,7 +34,6 @@
 #include "des/des_reference.hpp"
 #include "des/masked_sbox.hpp"
 #include "netlist/builder.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/delay_model.hpp"
 
 namespace glitchmask::des {
@@ -131,27 +130,17 @@ public:
         return ct;
     }
 
-    /// Bitsliced counterpart of encrypt(): one event-queue pass carries
-    /// `pt.size()` (<= 64) independent encryptions, lane l running the
-    /// stimulus of pt[l]/key[l].  `prngs[l]` supplies lane l's 14 refresh
-    /// bits per round in the same draw order as the scalar path (pass the
-    /// generator whose state continues from that lane's mask draws); an
-    /// empty span is "PRNG off" in every lane.  Unused lanes see all-zero
-    /// stimulus.  Each lane's waveform -- and therefore its ciphertext and
-    /// power trace -- is bit-identical to a scalar encrypt() of that
-    /// lane's inputs.
-    std::array<MaskedWord, sim::kBatchLanes> encrypt_batch(
-        sim::BatchClockedSim& sim, std::span<const MaskedWord> pt,
-        std::span<const MaskedWord> key, std::span<Xoshiro256> prngs) const;
-
-    /// Wide-lane counterpart of encrypt_batch() for any chunked sim
-    /// (eval::EventLaneSim, sim::CompiledClockedSim): one pass carries up
-    /// to sim.chunks()*64 encryptions, trace t in lane t%64 of chunk
-    /// t/64.  The stimulus lands in the identical per-net order as
-    /// encrypt_batch() -- for a one-chunk sim the event path's call
-    /// sequence (and results) are unchanged -- and the per-lane refresh
-    /// draws stay net-outer / lane-inner across all chunks, so every
-    /// trace is bit-identical to a scalar encrypt() of its inputs.
+    /// Lane-parallel counterpart of encrypt() for the lane engine
+    /// (sim::CompiledClockedSim): one pass carries up to sim.chunks()*64
+    /// independent encryptions, trace t in lane t%64 of chunk t/64 running
+    /// the stimulus of pt[t]/key[t].  `prngs[t]` supplies trace t's 14
+    /// refresh bits per round in the same draw order as the scalar path
+    /// (pass the generator whose state continues from that trace's mask
+    /// draws; the draws stay net-outer / lane-inner across all chunks);
+    /// an empty span is "PRNG off" in every lane.  Unused lanes see
+    /// all-zero stimulus.  Each lane's waveform -- and therefore its
+    /// ciphertext and power trace -- is bit-identical to a scalar
+    /// encrypt() of that trace's inputs.
     template <class ChunkedSim>
     std::vector<MaskedWord> encrypt_batch_chunks(
         ChunkedSim& sim, std::span<const MaskedWord> pt,
@@ -214,19 +203,9 @@ private:
         for (const netlist::NetId net : rand_)
             sim.set_input(net, prng != nullptr && prng->bit());
     }
-    /// Per-lane refresh randomness: net-outer / lane-inner, so each lane
-    /// draws its bits in exactly the scalar set_rand order.
-    void set_rand(sim::BatchClockedSim& sim, std::span<Xoshiro256> prngs) const {
-        for (const netlist::NetId net : rand_) {
-            std::uint64_t word = 0;
-            for (std::size_t lane = 0; lane < prngs.size(); ++lane)
-                if (prngs[lane].bit()) word |= std::uint64_t{1} << lane;
-            sim.set_input_word(net, word);
-        }
-    }
-    /// Chunked-sim refresh randomness; same net-outer / lane-inner draw
-    /// order across all chunks.  (BatchClockedSim takes the non-template
-    /// overload above by exact match.)
+    /// Per-lane refresh randomness: net-outer / lane-inner across all
+    /// chunks, so each lane draws its bits in exactly the scalar set_rand
+    /// order.
     template <class Sim>
     void set_rand(Sim& sim, std::span<Xoshiro256> prngs) const {
         for (const netlist::NetId net : rand_) {

@@ -13,7 +13,6 @@
 #include "leakage/moment_bank.hpp"
 #include "eval/run_report.hpp"
 #include "power/batch_power.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "support/telemetry.hpp"
 
@@ -107,11 +106,10 @@ SequenceLeakResult SequenceHarness::run(const core::InputSequence& sequence,
 
     validate_campaign_config(config.traces, config.block_size, config.lanes);
 
-    // Sequence campaigns never enable coupling, so the lane-parallel paths
-    // are always available; the plan only decides which one we take.
-    const BackendPlan bplan =
-        resolve_backend_plan(config.run, config.lanes, /*timing_coupling=*/false,
-                             circuit_.nl.size());
+    // Sequence campaigns never enable coupling, so the lane engine is
+    // always available; the lanes knob only decides whether we take it.
+    const unsigned pass_lanes =
+        resolve_lanes(config.lanes, /*timing_coupling=*/false);
     const ShardPlan plan{config.traces, config.block_size};
 
     const std::string tag = sequence_tag(sequence);
@@ -124,9 +122,8 @@ SequenceLeakResult SequenceHarness::run(const core::InputSequence& sequence,
     CampaignFingerprint fingerprint =
         sequence_fingerprint(sequence, config);
     if (attribute) fold_attribution_fingerprint(fingerprint, config.run);
-    fold_backend_fingerprint(fingerprint, bplan);
     RunTelemetrySession session(tag, config.run, fingerprint, plan.traces,
-                                pool.size(), bplan.lanes);
+                                pool.size(), pass_lanes);
     CheckpointPolicy policy = make_checkpoint_policy(config.run, tag);
     session.attach(policy);
     const auto encode = [attribute](const SeqBlockAcc& acc,
@@ -151,129 +148,116 @@ SequenceLeakResult SequenceHarness::run(const core::InputSequence& sequence,
     CampaignProgress progress;
 
     SeqBlockAcc merged = [&] {
-        if (!bplan.scalar()) {
-            // Per-worker lane-parallel replica behind the chunked-sim seam
-            // (eval/lane_backend.hpp): one pass per group of up to
+        if (pass_lanes != 1) {
+            // Per-worker lane engine replica (eval/lane_backend.hpp): one
+            // pass per group of up to
             // group_lanes() consecutive trace indices.  Groups are cut
             // within each block (a short tail uses fewer lanes), so any
             // block size stays bit-identical to the scalar path; block
             // sizes >= the lane width merely amortize best.
-            const auto run_lanes = [&](auto make_worker) {
-                return run_sharded_blocks_checkpointed(
-                    pool, plan,
-                    [&] {
-                        auto worker = make_worker();
-                        worker->attach_sinks(circuit_.nl, power_config_,
-                                             probe_plan);
-                        return worker;
-                    },
-                    make_acc,
-                    [&](auto& worker, std::size_t begin, std::size_t end,
-                        SeqBlockAcc& acc) {
-                        telemetry::PhaseClock phases;
-                        phases.mark();
-                        const unsigned group_lanes = worker->group_lanes();
-                        for (std::size_t group = begin; group < end;
-                             group += group_lanes) {
-                            const unsigned count = static_cast<unsigned>(
-                                std::min<std::size_t>(group_lanes,
-                                                      end - group));
-                            std::array<std::uint64_t, sim::kMaxLaneChunks>
-                                fixed{};
-                            std::array<
-                                std::array<std::uint64_t, sim::kMaxLaneChunks>,
-                                4>
-                                share_words{};
-                            for (unsigned lane = 0; lane < count; ++lane) {
-                                const SequenceStimulus stim = sequence_stimulus(
-                                    config.seed, group + lane);
-                                const unsigned c = lane / 64u;
-                                const std::uint64_t bit = std::uint64_t{1}
-                                                          << (lane % 64u);
-                                if (stim.fixed) fixed[c] |= bit;
-                                for (std::size_t i = 0; i < 4; ++i)
-                                    if (stim.share_value[i])
-                                        share_words[i][c] |= bit;
-                            }
-
-                            auto& s = worker->sim;
-                            s.restart();
-                            worker->begin_group(kCycles, fixed.data(), count,
-                                                &acc.attr);
+            return run_sharded_blocks_checkpointed(
+                pool, plan,
+                [&] {
+                    auto worker = std::make_unique<LaneWorker>(
+                        circuit_.nl, dm_, pass_lanes, clock_);
+                    worker->attach_sinks(circuit_.nl, power_config_,
+                                         probe_plan);
+                    return worker;
+                },
+                make_acc,
+                [&](auto& worker, std::size_t begin, std::size_t end,
+                    SeqBlockAcc& acc) {
+                    telemetry::PhaseClock phases;
+                    phases.mark();
+                    const unsigned group_lanes = worker->group_lanes();
+                    for (std::size_t group = begin; group < end;
+                         group += group_lanes) {
+                        const unsigned count = static_cast<unsigned>(
+                            std::min<std::size_t>(group_lanes,
+                                                  end - group));
+                        std::array<std::uint64_t, sim::kMaxLaneChunks>
+                            fixed{};
+                        std::array<
+                            std::array<std::uint64_t, sim::kMaxLaneChunks>,
+                            4>
+                            share_words{};
+                        for (unsigned lane = 0; lane < count; ++lane) {
+                            const SequenceStimulus stim = sequence_stimulus(
+                                config.seed, group + lane);
+                            const unsigned c = lane / 64u;
+                            const std::uint64_t bit = std::uint64_t{1}
+                                                      << (lane % 64u);
+                            if (stim.fixed) fixed[c] |= bit;
                             for (std::size_t i = 0; i < 4; ++i)
-                                for (unsigned c = 0; c < s.chunks(); ++c)
-                                    s.set_input_word(circuit_.in[i], c,
-                                                     share_words[i][c]);
-                            s.step();
-                            for (const core::ShareId slot : sequence) {
-                                s.set_enable(circuit_.enable[static_cast<
-                                                 std::size_t>(slot)],
-                                             true);
-                                s.step();
-                            }
-                            s.step();
-                            phases.lap(telemetry::Counter::kPhaseSimNanos);
-
-                            // Fused fold, chunk by chunk (chunk c == traces
-                            // group+64c .. group+64c+63): each lane's noisy
-                            // row streams straight into the moment bank --
-                            // no batch noisy-trace matrix.  Per-lane noise
-                            // draws come in bin order from that trace's
-                            // counter-based stream, and lanes fold in lane
-                            // order, so every per-point accumulator sees the
-                            // same addend sequence as the scalar path.
-                            auto& noisy = worker->noisy;
-                            const unsigned chunks_used = (count + 63u) / 64u;
-                            for (unsigned c = 0; c < chunks_used; ++c) {
-                                const unsigned cnt =
-                                    std::min(64u, count - c * 64u);
-                                for (unsigned lane = 0; lane < cnt; ++lane) {
-                                    Xoshiro256 noise_rng =
-                                        trace_rng(config.seed, kNoiseStream,
-                                                  group + c * 64u + lane);
-                                    worker->noisy_row(c * 64u + lane,
-                                                      noise_rng,
-                                                      config.noise_sigma,
-                                                      noisy);
-                                    phases.lap(
-                                        telemetry::Counter::kPhaseNoiseNanos);
-                                    acc.bank.add_trace(
-                                        ((fixed[c] >> lane) & 1u) != 0,
-                                        noisy.data());
-                                    phases.lap(
-                                        telemetry::Counter::kPhaseMomentsNanos);
-                                }
-                                if (!worker->probes.empty())
-                                    worker->probes[c].fold_group();
-                                phases.lap(
-                                    telemetry::Counter::kPhaseAttributionNanos);
-                            }
+                                if (stim.share_value[i])
+                                    share_words[i][c] |= bit;
                         }
-                        worker->finish_block();
-                        phases.lap(telemetry::Counter::kPhaseAttributionNanos);
-                        phases.flush();
-                        if (telemetry::enabled())
-                            telemetry::record_sim_block(worker->sim.stats(),
-                                                        worker->last_stats);
-                    },
-                    merge, policy, fingerprint, encode, decode, &progress,
-                    session.meter());
-            };
 
-            if (bplan.backend == SimBackend::Compiled)
-                return run_lanes([&] {
-                    return std::make_unique<
-                        LaneWorker<sim::CompiledClockedSim>>(
-                        circuit_.nl, dm_, bplan.lanes, clock_,
-                        sim::CouplingConfig{}, sim::SimOptions{});
-                });
-            return run_lanes([&] {
-                return std::make_unique<LaneWorker<EventLaneSim>>(circuit_.nl,
-                                                                  dm_, clock_);
-            });
+                        auto& s = worker->sim;
+                        s.restart();
+                        worker->begin_group(kCycles, fixed.data(), count,
+                                            &acc.attr);
+                        for (std::size_t i = 0; i < 4; ++i)
+                            for (unsigned c = 0; c < s.chunks(); ++c)
+                                s.set_input_word(circuit_.in[i], c,
+                                                 share_words[i][c]);
+                        s.step();
+                        for (const core::ShareId slot : sequence) {
+                            s.set_enable(circuit_.enable[static_cast<
+                                             std::size_t>(slot)],
+                                         true);
+                            s.step();
+                        }
+                        s.step();
+                        phases.lap(telemetry::Counter::kPhaseSimNanos);
+
+                        // Fused fold, chunk by chunk (chunk c == traces
+                        // group+64c .. group+64c+63): each lane's noisy
+                        // row streams straight into the moment bank --
+                        // no batch noisy-trace matrix.  Per-lane noise
+                        // draws come in bin order from that trace's
+                        // counter-based stream, and lanes fold in lane
+                        // order, so every per-point accumulator sees the
+                        // same addend sequence as the scalar path.
+                        auto& noisy = worker->noisy;
+                        const unsigned chunks_used = (count + 63u) / 64u;
+                        for (unsigned c = 0; c < chunks_used; ++c) {
+                            const unsigned cnt =
+                                std::min(64u, count - c * 64u);
+                            for (unsigned lane = 0; lane < cnt; ++lane) {
+                                Xoshiro256 noise_rng =
+                                    trace_rng(config.seed, kNoiseStream,
+                                              group + c * 64u + lane);
+                                worker->noisy_row(c * 64u + lane,
+                                                  noise_rng,
+                                                  config.noise_sigma,
+                                                  noisy);
+                                phases.lap(
+                                    telemetry::Counter::kPhaseNoiseNanos);
+                                acc.bank.add_trace(
+                                    ((fixed[c] >> lane) & 1u) != 0,
+                                    noisy.data());
+                                phases.lap(
+                                    telemetry::Counter::kPhaseMomentsNanos);
+                            }
+                            if (!worker->probes.empty())
+                                worker->probes[c].fold_group();
+                            phases.lap(
+                                telemetry::Counter::kPhaseAttributionNanos);
+                        }
+                    }
+                    worker->finish_block();
+                    phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                    phases.flush();
+                    if (telemetry::enabled())
+                        telemetry::record_sim_block(worker->sim.stats(),
+                                                    worker->last_stats);
+                },
+                merge, policy, fingerprint, encode, decode, &progress,
+                session.meter());
         }
 
-        // Scalar path: one event-queue pass per trace.  Heap-allocated so
+        // Scalar reference path: one event-queue pass per trace.  Heap-allocated so
         // the recorder's sink registration never relocates.
         struct Worker {
             sim::ClockedSim sim;

@@ -45,8 +45,8 @@ struct SequenceExperimentConfig {
     unsigned workers = 0;         // campaign threads; 0 = auto (env/cores)
     std::size_t block_size = 64;  // shard granularity (part of the result's
                                   // identity -- see parallel_campaign.hpp)
-    unsigned lanes = 0;           // traces per event-queue pass: 1 = scalar,
-                                  // 64 = bitsliced; 0 = auto (env, default 64).
+    unsigned lanes = 0;           // traces per pass: 1 = scalar, 64..512 =
+                                  // lane engine; 0 = auto (env, default 64).
                                   // Both paths are bit-identical.
     /// Crash-safe runtime knobs (checkpoint path/cadence, cancel token);
     /// the default leaves the runtime off.  Each sequence checkpoints to

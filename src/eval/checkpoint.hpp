@@ -19,7 +19,10 @@
 //   u32 CRC-32 over everything above (appended by SnapshotWriter::finish)
 //
 // The five fingerprint words identify the campaign; workers and lanes are
-// deliberately absent (results are bit-identical across both), while
+// deliberately absent (results are bit-identical across both -- a
+// snapshot written by the scalar path resumes on any compiled lane width
+// and back, and the fingerprints equal those of the retired bitsliced
+// event engine, so older checkpoints and spools still resume), while
 // anything that changes the stimulus, the noise, or the statistics --
 // seed, trace budget, block plan, and the driver-specific payload hash --
 // is load-bearing.  A mismatch on resume throws
@@ -124,12 +127,6 @@ struct CampaignRunOptions {
     /// substring (empty = every net).  Bounds probe memory on large
     /// designs: the accumulator holds 48 B per (net, window) point.
     std::string attribution_scope;
-    /// Simulation backend: "event" (default), "compiled", or "" to defer
-    /// to GLITCHMASK_BACKEND (see eval/lane_backend.hpp).  The compiled
-    /// backend changes the snapshot payload, so a checkpoint written
-    /// under one backend cannot silently resume under the other; lane
-    /// *width* is not part of the identity (results are width-invariant).
-    std::string backend;
     /// Retry ladder for transient checkpoint-write errors (EINTR/EIO);
     /// permanent errnos (ENOSPC, EROFS, ...) are never retried.
     RetryPolicy io_retry;

@@ -15,7 +15,6 @@
 #include "eval/run_report.hpp"
 #include "leakage/moment_bank.hpp"
 #include "power/batch_power.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
@@ -55,11 +54,10 @@ struct DesWorker {
     }
 };
 
-/// Lane-parallel replica behind the chunked-sim seam (eval/lane_backend.hpp):
-/// one pass per group_lanes() consecutive traces on either backend.
-template <class SimT>
-struct DesLaneWorker : LaneWorker<SimT> {
-    using LaneWorker<SimT>::LaneWorker;
+/// Lane engine replica (eval/lane_backend.hpp): one pass per
+/// group_lanes() consecutive traces.
+struct DesLaneWorker : LaneWorker {
+    using LaneWorker::LaneWorker;
     std::vector<core::MaskedWord> pts, keys;
     std::vector<Xoshiro256> prngs;  // per-lane refresh generators
 };
@@ -165,11 +163,10 @@ DesTvlaResult run_des_tvla(const des::MaskedDesCore& core,
 
     using BlockAcc = DesBlockAcc;
 
-    // Timing coupling makes delays data-dependent, which the shared batch
-    // schedule cannot express -- fall back to the scalar engine then.
-    const BackendPlan bplan = resolve_backend_plan(
-        config.run, config.lanes, config.coupling.timing_enabled,
-        core.nl().size());
+    // Timing coupling makes delays data-dependent, which the shared lane
+    // schedule cannot express -- resolve_lanes falls back to scalar then.
+    const unsigned pass_lanes =
+        resolve_lanes(config.lanes, config.coupling.timing_enabled);
 
     const bool attribute = attribution_enabled(config.run);
     const leakage::AttributionPlan attr_plan =
@@ -181,10 +178,9 @@ DesTvlaResult run_des_tvla(const des::MaskedDesCore& core,
 
     CampaignFingerprint fingerprint = des_tvla_fingerprint(config, samples);
     if (attribute) fold_attribution_fingerprint(fingerprint, config.run);
-    fold_backend_fingerprint(fingerprint, bplan);
     ThreadPool pool(resolve_workers(config.workers));
     RunTelemetrySession session("des_tvla", config.run, fingerprint,
-                                config.traces, pool.size(), bplan.lanes);
+                                config.traces, pool.size(), pass_lanes);
     CheckpointPolicy policy = make_checkpoint_policy(config.run, "des_tvla");
     session.attach(policy);
     const auto encode = [attribute](const BlockAcc& acc, SnapshotWriter& out) {
@@ -206,106 +202,99 @@ DesTvlaResult run_des_tvla(const des::MaskedDesCore& core,
         into.toggles += from.toggles;
         into.attr.merge(from.attr);
     };
-    // Lane groups are cut *within* each block (partial groups use fewer
-    // lanes), so any block size stays bit-identical to the scalar path;
-    // wide compiled passes only fill up when block_size >= lanes.
-    const auto run_lanes = [&](auto make_worker) {
-        return run_sharded_blocks_checkpointed(
-            pool, plan,
-            [&] {
-                auto worker = make_worker();
-                worker->attach_sinks(core.nl(), power_config, probe_plan);
-                return worker;
-            },
-            make_acc,
-            [&](auto& worker, std::size_t begin, std::size_t end,
-                BlockAcc& acc) {
-                telemetry::PhaseClock phases;
-                phases.mark();
-                const unsigned group_lanes = worker->group_lanes();
-                for (std::size_t group = begin; group < end;
-                     group += group_lanes) {
-                    const unsigned count = static_cast<unsigned>(
-                        std::min<std::size_t>(group_lanes, end - group));
-                    std::array<std::uint64_t, sim::kMaxLaneChunks> fixed{};
-                    worker->pts.clear();
-                    worker->keys.clear();
-                    worker->prngs.clear();
-                    for (unsigned lane = 0; lane < count; ++lane) {
-                        DesStimulus stim = des_stimulus(config, group + lane);
-                        if (stim.fixed)
-                            fixed[lane / 64u] |= std::uint64_t{1}
-                                                 << (lane % 64u);
-                        worker->pts.push_back(stim.pt);
-                        worker->keys.push_back(stim.key);
-                        worker->prngs.push_back(stim.rng);
-                    }
-
-                    worker->sim.restart();
-                    worker->begin_group(samples, fixed.data(), count,
-                                        &acc.attr);
-                    (void)core.encrypt_batch_chunks(
-                        worker->sim, worker->pts, worker->keys,
-                        config.prng_on ? std::span<Xoshiro256>(worker->prngs)
-                                       : std::span<Xoshiro256>{});
-                    phases.lap(telemetry::Counter::kPhaseSimNanos);
-
-                    // Fused fold, chunk by chunk (chunk c covers traces
-                    // group+64c .. group+64c+63): each lane's noisy row
-                    // streams straight into the moment bank, no batch
-                    // noisy-trace matrix.  Noise draws come in bin order
-                    // from that trace's counter-based stream and lanes
-                    // fold in lane order, so every per-point accumulator
-                    // sees the event path's exact addend sequence.
-                    auto& noisy = worker->noisy;
-                    const unsigned chunks_used = (count + 63u) / 64u;
-                    for (unsigned c = 0; c < chunks_used; ++c) {
-                        const unsigned cnt =
-                            std::min(64u, count - c * 64u);
-                        for (unsigned lane = 0; lane < cnt; ++lane) {
-                            Xoshiro256 noise_rng =
-                                trace_rng(config.seed, kNoiseStream,
-                                          group + c * 64u + lane);
-                            worker->noisy_row(c * 64u + lane, noise_rng,
-                                              config.noise_sigma, noisy);
-                            acc.toggles +=
-                                worker->lane_toggles(c * 64u + lane);
-                            phases.lap(telemetry::Counter::kPhaseNoiseNanos);
-                            acc.bank.add_trace(
-                                ((fixed[c] >> lane) & 1u) != 0, noisy.data());
-                            phases.lap(
-                                telemetry::Counter::kPhaseMomentsNanos);
-                        }
-                        if (!worker->probes.empty())
-                            worker->probes[c].fold_group();
-                        phases.lap(
-                            telemetry::Counter::kPhaseAttributionNanos);
-                    }
-                }
-                worker->finish_block();
-                phases.lap(telemetry::Counter::kPhaseAttributionNanos);
-                phases.flush();
-                if (telemetry::enabled())
-                    telemetry::record_sim_block(worker->sim.stats(),
-                                                worker->last_stats);
-            },
-            merge_acc, policy, fingerprint, encode, decode, &progress,
-            session.meter());
-    };
 
     BlockAcc merged = [&] {
-        if (!bplan.scalar()) {
-            if (bplan.backend == SimBackend::Compiled)
-                return run_lanes([&] {
-                    return std::make_unique<
-                        DesLaneWorker<sim::CompiledClockedSim>>(
-                        core.nl(), dm, bplan.lanes, clock, config.coupling,
-                        sim::SimOptions{});
-                });
-            return run_lanes([&] {
-                return std::make_unique<DesLaneWorker<EventLaneSim>>(
-                    core.nl(), dm, clock, config.coupling);
-            });
+        if (pass_lanes != 1) {
+            // Lane groups are cut *within* each block (partial groups use
+            // fewer lanes), so any block size stays bit-identical to the
+            // scalar path; wide compiled passes only fill up when
+            // block_size >= lanes.
+            return run_sharded_blocks_checkpointed(
+                pool, plan,
+                [&] {
+                    auto worker = std::make_unique<DesLaneWorker>(
+                        core.nl(), dm, pass_lanes, clock, config.coupling);
+                    worker->attach_sinks(core.nl(), power_config, probe_plan);
+                    return worker;
+                },
+                make_acc,
+                [&](auto& worker, std::size_t begin, std::size_t end,
+                    BlockAcc& acc) {
+                    telemetry::PhaseClock phases;
+                    phases.mark();
+                    const unsigned group_lanes = worker->group_lanes();
+                    for (std::size_t group = begin; group < end;
+                         group += group_lanes) {
+                        const unsigned count = static_cast<unsigned>(
+                            std::min<std::size_t>(group_lanes, end - group));
+                        std::array<std::uint64_t, sim::kMaxLaneChunks> fixed{};
+                        worker->pts.clear();
+                        worker->keys.clear();
+                        worker->prngs.clear();
+                        for (unsigned lane = 0; lane < count; ++lane) {
+                            DesStimulus stim =
+                                des_stimulus(config, group + lane);
+                            if (stim.fixed)
+                                fixed[lane / 64u] |= std::uint64_t{1}
+                                                     << (lane % 64u);
+                            worker->pts.push_back(stim.pt);
+                            worker->keys.push_back(stim.key);
+                            worker->prngs.push_back(stim.rng);
+                        }
+
+                        worker->sim.restart();
+                        worker->begin_group(samples, fixed.data(), count,
+                                            &acc.attr);
+                        (void)core.encrypt_batch_chunks(
+                            worker->sim, worker->pts, worker->keys,
+                            config.prng_on
+                                ? std::span<Xoshiro256>(worker->prngs)
+                                : std::span<Xoshiro256>{});
+                        phases.lap(telemetry::Counter::kPhaseSimNanos);
+
+                        // Fused fold, chunk by chunk (chunk c covers traces
+                        // group+64c .. group+64c+63): each lane's noisy row
+                        // streams straight into the moment bank, no batch
+                        // noisy-trace matrix.  Noise draws come in bin order
+                        // from that trace's counter-based stream and lanes
+                        // fold in lane order, so every per-point accumulator
+                        // sees the scalar path's exact addend sequence.
+                        auto& noisy = worker->noisy;
+                        const unsigned chunks_used = (count + 63u) / 64u;
+                        for (unsigned c = 0; c < chunks_used; ++c) {
+                            const unsigned cnt =
+                                std::min(64u, count - c * 64u);
+                            for (unsigned lane = 0; lane < cnt; ++lane) {
+                                Xoshiro256 noise_rng =
+                                    trace_rng(config.seed, kNoiseStream,
+                                              group + c * 64u + lane);
+                                worker->noisy_row(c * 64u + lane, noise_rng,
+                                                  config.noise_sigma, noisy);
+                                acc.toggles +=
+                                    worker->lane_toggles(c * 64u + lane);
+                                phases.lap(
+                                    telemetry::Counter::kPhaseNoiseNanos);
+                                acc.bank.add_trace(
+                                    ((fixed[c] >> lane) & 1u) != 0,
+                                    noisy.data());
+                                phases.lap(
+                                    telemetry::Counter::kPhaseMomentsNanos);
+                            }
+                            if (!worker->probes.empty())
+                                worker->probes[c].fold_group();
+                            phases.lap(
+                                telemetry::Counter::kPhaseAttributionNanos);
+                        }
+                    }
+                    worker->finish_block();
+                    phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                    phases.flush();
+                    if (telemetry::enabled())
+                        telemetry::record_sim_block(worker->sim.stats(),
+                                                    worker->last_stats);
+                },
+                merge_acc, policy, fingerprint, encode, decode, &progress,
+                session.meter());
         }
 
         return run_sharded_blocks_checkpointed(
@@ -407,9 +396,8 @@ std::vector<double> mean_power_trace(const des::MaskedDesCore& core,
     const std::size_t samples = core.total_cycles();
     ThreadPool pool(resolve_workers(workers));
     const ShardPlan plan{traces, /*block_size=*/64};
-    const BackendPlan bplan =
-        resolve_backend_plan(run, lanes, /*timing_coupling=*/false,
-                             core.nl().size());
+    const unsigned pass_lanes =
+        resolve_lanes(lanes, /*timing_coupling=*/false);
 
     const bool attribute = attribution_enabled(run);
     const leakage::AttributionPlan attr_plan =
@@ -422,9 +410,8 @@ std::vector<double> mean_power_trace(const des::MaskedDesCore& core,
     CampaignFingerprint fingerprint =
         mean_power_fingerprint(traces, seed, placement_seed, samples);
     if (attribute) fold_attribution_fingerprint(fingerprint, run);
-    fold_backend_fingerprint(fingerprint, bplan);
     RunTelemetrySession session("mean_power", run, fingerprint, traces,
-                                pool.size(), bplan.lanes);
+                                pool.size(), pass_lanes);
     CheckpointPolicy policy = make_checkpoint_policy(run, "mean_power");
     session.attach(policy);
     const auto encode = [attribute](const MeanPowerAcc& acc,
@@ -456,82 +443,71 @@ std::vector<double> mean_power_trace(const des::MaskedDesCore& core,
     CampaignProgress local_progress;
     CampaignProgress& prog = progress != nullptr ? *progress : local_progress;
 
-    const auto run_lanes = [&](auto make_worker) {
-        return run_sharded_blocks_checkpointed(
-            pool, plan,
-            [&] {
-                auto worker = make_worker();
-                worker->attach_sinks(core.nl(), power_config, probe_plan);
-                return worker;
-            },
-            make_acc,
-            [&](auto& worker, std::size_t begin, std::size_t end,
-                MeanPowerAcc& acc) {
-                telemetry::PhaseClock phases;
-                phases.mark();
-                const unsigned group_lanes = worker->group_lanes();
-                for (std::size_t group = begin; group < end;
-                     group += group_lanes) {
-                    const unsigned count = static_cast<unsigned>(
-                        std::min<std::size_t>(group_lanes, end - group));
-                    worker->pts.clear();
-                    worker->keys.clear();
-                    worker->prngs.clear();
-                    for (unsigned lane = 0; lane < count; ++lane) {
-                        Xoshiro256 rng =
-                            trace_rng(seed, kStimulusStream, group + lane);
-                        const std::uint64_t pt = rng();
-                        const std::uint64_t key = rng();
-                        worker->pts.push_back(core::mask_word(pt, 64, rng));
-                        worker->keys.push_back(core::mask_word(key, 64, rng));
-                        worker->prngs.push_back(rng);
-                    }
-                    worker->sim.restart();
-                    // Mean power has no fixed class: every lane is
-                    // "random", matching the scalar fold below.
-                    worker->begin_group(samples, /*fixed=*/nullptr, count,
-                                        &acc.attr);
-                    (void)core.encrypt_batch_chunks(worker->sim, worker->pts,
-                                                    worker->keys,
-                                                    worker->prngs);
-                    phases.lap(telemetry::Counter::kPhaseSimNanos);
-                    // Lane order == trace order, so each bin's partial
-                    // sum sees the same addend sequence as the scalar
-                    // per-trace loop.
-                    for (unsigned lane = 0; lane < count; ++lane)
-                        for (std::size_t i = 0; i < samples; ++i)
-                            acc.sum[i] += worker->sample(i, lane);
-                    phases.lap(telemetry::Counter::kPhaseMomentsNanos);
-                    const unsigned chunks_used = (count + 63u) / 64u;
-                    for (unsigned c = 0; c < chunks_used; ++c)
-                        if (!worker->probes.empty())
-                            worker->probes[c].fold_group();
-                    phases.lap(telemetry::Counter::kPhaseAttributionNanos);
-                }
-                worker->finish_block();
-                phases.lap(telemetry::Counter::kPhaseAttributionNanos);
-                phases.flush();
-                if (telemetry::enabled())
-                    telemetry::record_sim_block(worker->sim.stats(),
-                                                worker->last_stats);
-            },
-            merge, policy, fingerprint, encode, decode, &prog,
-            session.meter());
-    };
-
     MeanPowerAcc merged = [&] {
-        if (!bplan.scalar()) {
-            if (bplan.backend == SimBackend::Compiled)
-                return run_lanes([&] {
-                    return std::make_unique<
-                        DesLaneWorker<sim::CompiledClockedSim>>(
-                        core.nl(), dm, bplan.lanes, clock,
-                        sim::CouplingConfig{}, sim::SimOptions{});
-                });
-            return run_lanes([&] {
-                return std::make_unique<DesLaneWorker<EventLaneSim>>(
-                    core.nl(), dm, clock, sim::CouplingConfig{});
-            });
+        if (pass_lanes != 1) {
+            return run_sharded_blocks_checkpointed(
+                pool, plan,
+                [&] {
+                    auto worker = std::make_unique<DesLaneWorker>(
+                        core.nl(), dm, pass_lanes, clock);
+                    worker->attach_sinks(core.nl(), power_config, probe_plan);
+                    return worker;
+                },
+                make_acc,
+                [&](auto& worker, std::size_t begin, std::size_t end,
+                    MeanPowerAcc& acc) {
+                    telemetry::PhaseClock phases;
+                    phases.mark();
+                    const unsigned group_lanes = worker->group_lanes();
+                    for (std::size_t group = begin; group < end;
+                         group += group_lanes) {
+                        const unsigned count = static_cast<unsigned>(
+                            std::min<std::size_t>(group_lanes, end - group));
+                        worker->pts.clear();
+                        worker->keys.clear();
+                        worker->prngs.clear();
+                        for (unsigned lane = 0; lane < count; ++lane) {
+                            Xoshiro256 rng =
+                                trace_rng(seed, kStimulusStream, group + lane);
+                            const std::uint64_t pt = rng();
+                            const std::uint64_t key = rng();
+                            worker->pts.push_back(
+                                core::mask_word(pt, 64, rng));
+                            worker->keys.push_back(
+                                core::mask_word(key, 64, rng));
+                            worker->prngs.push_back(rng);
+                        }
+                        worker->sim.restart();
+                        // Mean power has no fixed class: every lane is
+                        // "random", matching the scalar fold below.
+                        worker->begin_group(samples, /*fixed=*/nullptr, count,
+                                            &acc.attr);
+                        (void)core.encrypt_batch_chunks(
+                            worker->sim, worker->pts, worker->keys,
+                            worker->prngs);
+                        phases.lap(telemetry::Counter::kPhaseSimNanos);
+                        // Lane order == trace order, so each bin's partial
+                        // sum sees the same addend sequence as the scalar
+                        // per-trace loop.
+                        for (unsigned lane = 0; lane < count; ++lane)
+                            for (std::size_t i = 0; i < samples; ++i)
+                                acc.sum[i] += worker->sample(i, lane);
+                        phases.lap(telemetry::Counter::kPhaseMomentsNanos);
+                        const unsigned chunks_used = (count + 63u) / 64u;
+                        for (unsigned c = 0; c < chunks_used; ++c)
+                            if (!worker->probes.empty())
+                                worker->probes[c].fold_group();
+                        phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                    }
+                    worker->finish_block();
+                    phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                    phases.flush();
+                    if (telemetry::enabled())
+                        telemetry::record_sim_block(worker->sim.stats(),
+                                                    worker->last_stats);
+                },
+                merge, policy, fingerprint, encode, decode, &prog,
+                session.meter());
         }
 
         return run_sharded_blocks_checkpointed(

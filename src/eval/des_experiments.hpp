@@ -41,9 +41,9 @@ struct DesTvlaConfig {
     /// Shard granularity; fixed per campaign so results are bit-identical
     /// at any worker count (see eval/parallel_campaign.hpp).
     std::size_t block_size = 64;
-    /// Traces per event-queue pass: 1 = scalar, 64 = bitsliced, 0 = auto
-    /// (GLITCHMASK_LANES env, default 64).  Both paths are bit-identical;
-    /// timing coupling forces the scalar path regardless.
+    /// Traces per pass: 1 = scalar, 64/128/256/512 = compiled lane
+    /// engine, 0 = auto (GLITCHMASK_LANES env, default 64).  Every width
+    /// is bit-identical; timing coupling forces the scalar path regardless.
     unsigned lanes = 0;
     /// Crash-safe runtime knobs: checkpoint path/cadence, cancellation
     /// token (see eval/checkpoint.hpp).  Defaults leave the runtime off.
@@ -93,7 +93,7 @@ struct DesTvlaResult {
                                          const DesTvlaConfig& config);
 
 /// Mean per-cycle power over `traces` random encryptions (PRNG on).
-/// `lanes` as in DesTvlaConfig (0 = auto; scalar and bitsliced paths are
+/// `lanes` as in DesTvlaConfig (0 = auto; scalar and lane paths are
 /// bit-identical).  `run` enables the crash-safe runtime; on cancellation
 /// the mean covers `progress->completed_traces` traces.  When
 /// run.attribution is on and `attribution` non-null, the per-net activity

@@ -13,7 +13,6 @@
 #include "leakage/tvla.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "support/telemetry.hpp"
 
@@ -172,9 +171,8 @@ void GadgetHarness::drive(sim::ClockedSim& s,
 GadgetTvlaResult GadgetHarness::run(const GadgetTvlaConfig& config,
                                     ThreadPool& pool) const {
     validate_campaign_config(config.traces, config.block_size, config.lanes);
-    const BackendPlan bplan =
-        resolve_backend_plan(config.run, config.lanes, /*timing_coupling=*/false,
-                             circuit_.nl.size());
+    const unsigned pass_lanes =
+        resolve_lanes(config.lanes, /*timing_coupling=*/false);
     const ShardPlan plan{config.traces, config.block_size};
     const unsigned fresh = fresh_bits();
 
@@ -191,10 +189,9 @@ GadgetTvlaResult GadgetHarness::run(const GadgetTvlaConfig& config,
     const leakage::AttributionPlan* probe_plan = attribute ? &attr_plan : nullptr;
     CampaignFingerprint fingerprint = gadget_fingerprint(config);
     if (attribute) fold_attribution_fingerprint(fingerprint, config.run);
-    fold_backend_fingerprint(fingerprint, bplan);
 
     RunTelemetrySession session(tag, config.run, fingerprint, plan.traces,
-                                pool.size(), bplan.lanes);
+                                pool.size(), pass_lanes);
     CheckpointPolicy policy = make_checkpoint_policy(config.run, tag);
     session.attach(policy);
     const auto encode = [attribute](const GadgetBlockAcc& acc,
@@ -219,135 +216,122 @@ GadgetTvlaResult GadgetHarness::run(const GadgetTvlaConfig& config,
     CampaignProgress progress;
 
     GadgetBlockAcc merged = [&] {
-        if (!bplan.scalar()) {
-            // Lane-parallel replica behind the chunked-sim seam
-            // (eval/lane_backend.hpp): one pass per group of up to
-            // group_lanes() consecutive trace indices.
-            const auto run_lanes = [&](auto make_worker) {
-                return run_sharded_blocks_checkpointed(
-                    pool, plan,
-                    [&] {
-                        auto worker = make_worker();
-                        worker->attach_sinks(circuit_.nl, power_config,
-                                             probe_plan);
-                        return worker;
-                    },
-                    make_acc,
-                    [&](auto& worker, std::size_t begin, std::size_t end,
-                        GadgetBlockAcc& acc) {
-                        telemetry::PhaseClock phases;
-                        phases.mark();
-                        const unsigned group_lanes = worker->group_lanes();
-                        for (std::size_t group = begin; group < end;
-                             group += group_lanes) {
-                            const unsigned count = static_cast<unsigned>(
-                                std::min<std::size_t>(group_lanes,
-                                                      end - group));
-                            std::array<std::uint64_t, sim::kMaxLaneChunks>
-                                fixed{};
-                            std::array<
-                                std::array<std::uint64_t, sim::kMaxLaneChunks>,
-                                4>
-                                share_words{};
-                            std::array<
-                                std::array<std::uint64_t, sim::kMaxLaneChunks>,
-                                3>
-                                fresh_words{};
-                            for (unsigned lane = 0; lane < count; ++lane) {
-                                const GadgetStimulus stim = gadget_stimulus(
-                                    fresh, config.seed, group + lane);
-                                const unsigned c = lane / 64u;
-                                const std::uint64_t bit = std::uint64_t{1}
-                                                          << (lane % 64u);
-                                if (stim.fixed) fixed[c] |= bit;
-                                for (std::size_t i = 0; i < 4; ++i)
-                                    if (stim.shares[i]) share_words[i][c] |= bit;
-                                for (unsigned i = 0; i < fresh; ++i)
-                                    if (stim.fresh[i]) fresh_words[i][c] |= bit;
-                            }
-
-                            auto& s = worker->sim;
-                            s.restart();
-                            worker->begin_group(kCycles, fixed.data(), count,
-                                                &acc.attr);
-                            for (unsigned c = 0; c < s.chunks(); ++c) {
-                                s.set_input_word(circuit_.x_in.s0, c,
-                                                 share_words[0][c]);
-                                s.set_input_word(circuit_.x_in.s1, c,
-                                                 share_words[1][c]);
-                                s.set_input_word(circuit_.y_in.s0, c,
-                                                 share_words[2][c]);
-                                s.set_input_word(circuit_.y_in.s1, c,
-                                                 share_words[3][c]);
-                                for (unsigned i = 0; i < fresh; ++i)
-                                    s.set_input_word(circuit_.rand_in[i], c,
-                                                     fresh_words[i][c]);
-                            }
-                            s.step();
-                            s.set_enable(1, true);
-                            s.step();
-                            s.set_enable(1, false);
-                            if (circuit_.has_stage2) s.set_enable(2, true);
-                            s.step();
-                            if (circuit_.has_stage2) s.set_enable(2, false);
-                            s.step();
-                            phases.lap(telemetry::Counter::kPhaseSimNanos);
-
-                            // Fused fold, chunk by chunk (chunk c == traces
-                            // group+64c .. group+64c+63): each lane's noisy
-                            // row streams straight into the moment bank,
-                            // noise in the scalar path's per-trace bin
-                            // order, lanes in lane order -- the same addend
-                            // sequence per accumulator either way.
-                            auto& noisy = worker->noisy;
-                            const unsigned chunks_used = (count + 63u) / 64u;
-                            for (unsigned c = 0; c < chunks_used; ++c) {
-                                const unsigned cnt =
-                                    std::min(64u, count - c * 64u);
-                                for (unsigned lane = 0; lane < cnt; ++lane) {
-                                    Xoshiro256 noise_rng =
-                                        trace_rng(config.seed, kNoiseStream,
-                                                  group + c * 64u + lane);
-                                    worker->noisy_row(c * 64u + lane,
-                                                      noise_rng,
-                                                      config.noise_sigma,
-                                                      noisy);
-                                    phases.lap(
-                                        telemetry::Counter::kPhaseNoiseNanos);
-                                    acc.bank.add_trace(
-                                        ((fixed[c] >> lane) & 1u) != 0,
-                                        noisy.data());
-                                    phases.lap(
-                                        telemetry::Counter::kPhaseMomentsNanos);
-                                }
-                                if (!worker->probes.empty())
-                                    worker->probes[c].fold_group();
-                                phases.lap(
-                                    telemetry::Counter::kPhaseAttributionNanos);
-                            }
+        if (pass_lanes != 1) {
+            // Per-worker lane engine replica (eval/lane_backend.hpp): one
+            // pass per group of up to group_lanes() consecutive trace
+            // indices.
+            return run_sharded_blocks_checkpointed(
+                pool, plan,
+                [&] {
+                    auto worker = std::make_unique<LaneWorker>(
+                        circuit_.nl, dm_, pass_lanes, clock_);
+                    worker->attach_sinks(circuit_.nl, power_config,
+                                         probe_plan);
+                    return worker;
+                },
+                make_acc,
+                [&](auto& worker, std::size_t begin, std::size_t end,
+                    GadgetBlockAcc& acc) {
+                    telemetry::PhaseClock phases;
+                    phases.mark();
+                    const unsigned group_lanes = worker->group_lanes();
+                    for (std::size_t group = begin; group < end;
+                         group += group_lanes) {
+                        const unsigned count = static_cast<unsigned>(
+                            std::min<std::size_t>(group_lanes,
+                                                  end - group));
+                        std::array<std::uint64_t, sim::kMaxLaneChunks>
+                            fixed{};
+                        std::array<
+                            std::array<std::uint64_t, sim::kMaxLaneChunks>,
+                            4>
+                            share_words{};
+                        std::array<
+                            std::array<std::uint64_t, sim::kMaxLaneChunks>,
+                            3>
+                            fresh_words{};
+                        for (unsigned lane = 0; lane < count; ++lane) {
+                            const GadgetStimulus stim = gadget_stimulus(
+                                fresh, config.seed, group + lane);
+                            const unsigned c = lane / 64u;
+                            const std::uint64_t bit = std::uint64_t{1}
+                                                      << (lane % 64u);
+                            if (stim.fixed) fixed[c] |= bit;
+                            for (std::size_t i = 0; i < 4; ++i)
+                                if (stim.shares[i]) share_words[i][c] |= bit;
+                            for (unsigned i = 0; i < fresh; ++i)
+                                if (stim.fresh[i]) fresh_words[i][c] |= bit;
                         }
-                        worker->finish_block();
-                        phases.lap(telemetry::Counter::kPhaseAttributionNanos);
-                        phases.flush();
-                        if (telemetry::enabled())
-                            telemetry::record_sim_block(worker->sim.stats(),
-                                                        worker->last_stats);
-                    },
-                    merge, policy, fingerprint, encode, decode, &progress,
-                    session.meter());
-            };
 
-            if (bplan.backend == SimBackend::Compiled)
-                return run_lanes([&] {
-                    return std::make_unique<
-                        LaneWorker<sim::CompiledClockedSim>>(
-                        circuit_.nl, dm_, bplan.lanes, clock_,
-                        sim::CouplingConfig{}, sim::SimOptions{});
-                });
-            return run_lanes([&] {
-                return std::make_unique<LaneWorker<EventLaneSim>>(circuit_.nl,
-                                                                  dm_, clock_);
-            });
+                        auto& s = worker->sim;
+                        s.restart();
+                        worker->begin_group(kCycles, fixed.data(), count,
+                                            &acc.attr);
+                        for (unsigned c = 0; c < s.chunks(); ++c) {
+                            s.set_input_word(circuit_.x_in.s0, c,
+                                             share_words[0][c]);
+                            s.set_input_word(circuit_.x_in.s1, c,
+                                             share_words[1][c]);
+                            s.set_input_word(circuit_.y_in.s0, c,
+                                             share_words[2][c]);
+                            s.set_input_word(circuit_.y_in.s1, c,
+                                             share_words[3][c]);
+                            for (unsigned i = 0; i < fresh; ++i)
+                                s.set_input_word(circuit_.rand_in[i], c,
+                                                 fresh_words[i][c]);
+                        }
+                        s.step();
+                        s.set_enable(1, true);
+                        s.step();
+                        s.set_enable(1, false);
+                        if (circuit_.has_stage2) s.set_enable(2, true);
+                        s.step();
+                        if (circuit_.has_stage2) s.set_enable(2, false);
+                        s.step();
+                        phases.lap(telemetry::Counter::kPhaseSimNanos);
+
+                        // Fused fold, chunk by chunk (chunk c == traces
+                        // group+64c .. group+64c+63): each lane's noisy
+                        // row streams straight into the moment bank,
+                        // noise in the scalar path's per-trace bin
+                        // order, lanes in lane order -- the same addend
+                        // sequence per accumulator either way.
+                        auto& noisy = worker->noisy;
+                        const unsigned chunks_used = (count + 63u) / 64u;
+                        for (unsigned c = 0; c < chunks_used; ++c) {
+                            const unsigned cnt =
+                                std::min(64u, count - c * 64u);
+                            for (unsigned lane = 0; lane < cnt; ++lane) {
+                                Xoshiro256 noise_rng =
+                                    trace_rng(config.seed, kNoiseStream,
+                                              group + c * 64u + lane);
+                                worker->noisy_row(c * 64u + lane,
+                                                  noise_rng,
+                                                  config.noise_sigma,
+                                                  noisy);
+                                phases.lap(
+                                    telemetry::Counter::kPhaseNoiseNanos);
+                                acc.bank.add_trace(
+                                    ((fixed[c] >> lane) & 1u) != 0,
+                                    noisy.data());
+                                phases.lap(
+                                    telemetry::Counter::kPhaseMomentsNanos);
+                            }
+                            if (!worker->probes.empty())
+                                worker->probes[c].fold_group();
+                            phases.lap(
+                                telemetry::Counter::kPhaseAttributionNanos);
+                        }
+                    }
+                    worker->finish_block();
+                    phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                    phases.flush();
+                    if (telemetry::enabled())
+                        telemetry::record_sim_block(worker->sim.stats(),
+                                                    worker->last_stats);
+                },
+                merge, policy, fingerprint, encode, decode, &progress,
+                session.meter());
         }
 
         struct Worker {

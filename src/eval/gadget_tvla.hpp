@@ -55,7 +55,7 @@ struct GadgetTvlaConfig {
     int max_test_order = 2;
     unsigned workers = 0;         // 0 = auto (env / cores)
     std::size_t block_size = 64;
-    unsigned lanes = 0;           // 1 scalar / 64 bitsliced / 0 auto
+    unsigned lanes = 0;           // 1 scalar / 64..512 lanes / 0 auto
     CampaignRunOptions run;       // checkpointing, reports, attribution
 };
 
@@ -131,7 +131,7 @@ public:
     /// (the caller restarts the simulator and arms the recorder first).
     void drive(sim::ClockedSim& sim, const GadgetStimulus& stim) const;
 
-    /// Runs one campaign on `pool` (scalar or bitsliced per config.lanes).
+    /// Runs one campaign on `pool` (scalar or lane engine per config.lanes).
     [[nodiscard]] GadgetTvlaResult run(const GadgetTvlaConfig& config,
                                        ThreadPool& pool) const;
 

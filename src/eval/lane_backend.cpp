@@ -1,113 +1,17 @@
 #include "eval/lane_backend.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include <unistd.h>
-
 #include "eval/parallel_campaign.hpp"
-#include "support/env.hpp"
-#include "support/log.hpp"
 
 namespace glitchmask::eval {
 
-const char* backend_name(SimBackend backend) noexcept {
-    return backend == SimBackend::Compiled ? "compiled" : "event";
-}
-
-namespace {
-
-SimBackend parse_backend(const std::string& name) {
-    if (name.empty() || name == "event") return SimBackend::Event;
-    if (name == "compiled") return SimBackend::Compiled;
-    throw std::invalid_argument(
-        "campaign config: unknown backend \"" + name +
-        "\" (expected \"event\" or \"compiled\")");
-}
-
-/// Picks the widest compiled lane count whose per-worker lane state still
-/// fits in roughly a quarter of the L2 cache.  The compiled engine keeps
-/// four 64-bit planes per net per 64-lane chunk (value, next, mark,
-/// glitch bookkeeping), so the working set scales linearly with the
-/// width; once it spills the cache, wider passes lose more to memory
-/// stalls than they save in schedule replays (the 512-lane rows of
-/// BENCH_batch_sim.json).  A quarter -- not half -- because the power
-/// rows, the program stream and the recorder compete for the same cache:
-/// on the 2 MiB-L2 reference container the half-L2 budget still admitted
-/// 512 lanes for the 3802-net DES netlist, which the sweep measures as
-/// ~25% slower than the 128/256-lane rows it would otherwise pick.
-unsigned auto_compiled_lanes(std::size_t netlist_nets) {
-    if (netlist_nets == 0) return 512;  // no hint -- keep the default
-    long cache = sysconf(_SC_LEVEL2_CACHE_SIZE);
-    if (cache <= 0) cache = 1 << 20;  // sysconf unsupported: assume 1 MiB
-    const std::size_t budget = static_cast<std::size_t>(cache) / 4;
-    const std::size_t chunk_bytes = netlist_nets * 4 * sizeof(std::uint64_t);
-    unsigned lanes = 64;
-    for (const unsigned candidate : {128u, 256u, 512u})
-        if ((candidate / 64u) * chunk_bytes <= budget) lanes = candidate;
-    log::info("compiled lanes auto: " + std::to_string(lanes) + " (" +
-              std::to_string(netlist_nets) + " nets, " +
-              std::to_string(chunk_bytes / 1024) + " KiB per chunk, L2 " +
-              std::to_string(cache / 1024) + " KiB)");
-    return lanes;
-}
-
-}  // namespace
-
-BackendPlan resolve_backend_plan(const CampaignRunOptions& run,
+BackendPlan resolve_backend_plan(const CampaignRunOptions& /*run*/,
                                  unsigned configured_lanes,
                                  bool timing_coupling,
-                                 std::size_t netlist_nets) {
-    std::string name = run.backend;
-    if (name.empty()) name = env_string("GLITCHMASK_BACKEND", "");
-    const SimBackend backend = parse_backend(name);
-
+                                 std::size_t /*netlist_nets*/) {
     BackendPlan plan;
-    if (backend == SimBackend::Event || configured_lanes == 1 ||
-        timing_coupling) {
-        // The event plan owns the legacy policy (GLITCHMASK_LANES,
-        // timing-coupling fallback to scalar).  lanes == 1 is the scalar
-        // path regardless of the requested backend: a compiled pass
-        // narrower than 64 lanes cannot exist.
-        if (backend == SimBackend::Event && configured_lanes > 64)
-            throw std::invalid_argument(
-                "campaign config: the event backend supports at most 64 "
-                "lanes; use backend=compiled for wider passes");
-        if (timing_coupling && backend == SimBackend::Compiled)
-            log::info(
-                "timing coupling forces the scalar simulator; ignoring "
-                "backend=compiled");
-        plan.backend = SimBackend::Event;
-        plan.lanes = resolve_lanes(
-            std::min(configured_lanes, 64u), timing_coupling);
-        return plan;
-    }
-
-    plan.backend = SimBackend::Compiled;
-    unsigned lanes = configured_lanes;
-    if (lanes == 0) {
-        const std::string configured =
-            env_string("GLITCHMASK_COMPILED_LANES", "512");
-        if (configured == "auto")
-            lanes = auto_compiled_lanes(netlist_nets);
-        else
-            lanes = static_cast<unsigned>(
-                env_int("GLITCHMASK_COMPILED_LANES", 512));
-    }
-    if (lanes != 64 && lanes != 128 && lanes != 256 && lanes != 512)
-        throw std::invalid_argument(
-            "campaign config: compiled backend lanes must be 64, 128, 256 "
-            "or 512, got " +
-            std::to_string(lanes));
-    plan.lanes = lanes;
+    plan.lanes = resolve_lanes(configured_lanes, timing_coupling);
+    plan.backend = plan.scalar() ? SimBackend::Scalar : SimBackend::Compiled;
     return plan;
-}
-
-void fold_backend_fingerprint(CampaignFingerprint& fingerprint,
-                              const BackendPlan& plan) {
-    if (plan.backend != SimBackend::Compiled || plan.scalar()) return;
-    fingerprint.payload = fnv1a64(fingerprint.payload, fnv1a64_tag("backend"));
-    fingerprint.payload = fnv1a64(fingerprint.payload, fnv1a64_tag("compiled"));
 }
 
 }  // namespace glitchmask::eval

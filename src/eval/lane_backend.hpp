@@ -1,136 +1,76 @@
-// Campaign-side seam between the lane-parallel simulation backends.
+// Campaign-side seam to the lane engine.
 //
 // The campaign drivers (eval/campaign.cpp, eval/gadget_tvla.cpp,
-// eval/des_experiments.cpp) run their lane-parallel block bodies against a
-// uniform "chunked sim" API so one generic body serves both backends:
+// eval/des_experiments.cpp) run their lane-parallel block bodies against
+// sim::CompiledClockedSim -- 1..8 chunks of 64 lanes (64..512 traces per
+// pass), one program shared by all workers -- and their scalar bodies
+// against the reference sim::ClockedSim; resolve_lanes()
+// (eval/parallel_campaign.hpp) picks between them.
 //
-//   * EventLaneSim  -- BatchClockedSim behind the chunked API, one 64-lane
-//     chunk (the PR-2 bitsliced engine, byte-identical results);
-//   * sim::CompiledClockedSim -- the compiled wide-lane engine, 1..8
-//     chunks (64..512 traces per pass), program shared through the
-//     process-wide LRU cache.
-//
-// LaneWorker bundles a chunked sim with its per-chunk sinks (one
+// LaneWorker bundles the lane sim with its per-chunk sinks (one
 // BatchPowerRecorder per chunk, optionally one BatchAttributionProbe per
-// chunk) exactly as the drivers previously wired the 64-lane engine.
-// Chunk c covers lanes [64c, 64c+64) == traces group+64c .. group+64c+63,
-// so folding chunk-by-chunk in chunk order feeds the accumulators in
-// trace order -- the same add_lane_traces / fold_group call sequence as
-// the event path, hence bit-identical campaign statistics.
+// chunk).  Chunk c covers lanes [64c, 64c+64) == traces group+64c ..
+// group+64c+63, so folding chunk-by-chunk in chunk order feeds the
+// accumulators in trace order -- the same per-trace addend sequence as
+// the scalar path, hence bit-identical campaign statistics at any width.
 //
-// resolve_backend_plan() owns the policy: CampaignRunOptions::backend
-// beats GLITCHMASK_BACKEND beats "event"; timing coupling always forces
-// the scalar path; compiled lane width defaults to 512 and is clamped to
-// {64,128,256,512}.  The backend (not the width) folds into the campaign
-// fingerprint, so checkpoints refuse to resume across a backend switch.
+// Nothing about the lane width folds into the campaign fingerprint:
+// results are identical at every width, so a checkpoint resumes at any
+// width, scalar included.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/checkpoint.hpp"
 #include "leakage/attribution.hpp"
 #include "netlist/netlist.hpp"
 #include "power/batch_power.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "support/telemetry.hpp"
 
 namespace glitchmask::eval {
 
-enum class SimBackend { Event, Compiled };
-
-[[nodiscard]] const char* backend_name(SimBackend backend) noexcept;
+enum class SimBackend { Scalar, Compiled };
 
 struct BackendPlan {
-    SimBackend backend = SimBackend::Event;
-    /// Traces per pass: 1 = scalar event path, 64 = bitsliced event, up
-    /// to 512 for the compiled backend.
+    SimBackend backend = SimBackend::Compiled;
+    /// Traces per pass: 1 = the scalar EventSimulator, 64/128/256/512 =
+    /// the compiled lane engine.
     unsigned lanes = 64;
 
     [[nodiscard]] bool scalar() const noexcept { return lanes == 1; }
     [[nodiscard]] unsigned chunks() const noexcept { return lanes / 64u; }
 };
 
-/// Resolves (backend, lanes) for one campaign.  `configured_lanes` is the
-/// config's lanes knob (0 = auto).  `netlist_nets` sizes the compiled
-/// engine's per-lane state for GLITCHMASK_COMPILED_LANES=auto, which
-/// picks the widest lane count whose working set still fits the cache
-/// (0 = unknown, auto then falls back to the 512 default).  Throws
-/// std::invalid_argument for an unknown backend name or a lane width the
-/// backend cannot serve.
+/// resolve_lanes() as a plan, for callers that replay a campaign outside
+/// its driver.  `run` and `netlist_nets` do not affect the plan.  Throws
+/// std::invalid_argument for a lane width the engine cannot serve.
 [[nodiscard]] BackendPlan resolve_backend_plan(const CampaignRunOptions& run,
                                                unsigned configured_lanes,
                                                bool timing_coupling,
                                                std::size_t netlist_nets = 0);
 
-/// Folds the backend choice into the snapshot identity.  The event
-/// backend folds nothing (pre-existing checkpoints stay valid); the
-/// compiled backend folds a tag so event<->compiled resume mismatches.
-/// Lane width is never folded: results are width-invariant.
-void fold_backend_fingerprint(CampaignFingerprint& fingerprint,
-                              const BackendPlan& plan);
-
-/// BatchClockedSim behind the chunked-sim API (chunks() == 1).  Thin
-/// forwarding only -- the event path's call sequence (and therefore its
-/// results) is unchanged.
-class EventLaneSim {
+/// The lane engine at its default width: one 64-lane chunk.
+class EventLaneSim : public sim::CompiledClockedSim {
 public:
     EventLaneSim(const netlist::Netlist& nl, const sim::DelayModel& dm,
                  sim::ClockConfig clock = {}, sim::CouplingConfig coupling = {},
                  sim::SimOptions options = {})
-        : sim_(nl, dm, clock, coupling, options) {}
-
-    [[nodiscard]] unsigned chunks() const noexcept { return 1; }
-
-    void restart() { sim_.restart(); }
-    void set_enable(netlist::CtrlGroup group, bool enabled) {
-        sim_.set_enable(group, enabled);
-    }
-    void set_reset(netlist::CtrlGroup group, bool asserted) {
-        sim_.set_reset(group, asserted);
-    }
-    void set_input(netlist::NetId input, bool value) {
-        sim_.set_input(input, value);
-    }
-    void set_input_word(netlist::NetId input, unsigned /*chunk*/,
-                        std::uint64_t values) {
-        sim_.set_input_word(input, values);
-    }
-    void step(std::size_t cycles = 1) { sim_.step(cycles); }
-
-    [[nodiscard]] std::uint64_t word(netlist::NetId net,
-                                     unsigned /*chunk*/ = 0) const {
-        return sim_.word(net);
-    }
-    [[nodiscard]] sim::TimePs period() const noexcept { return sim_.period(); }
-
-    void set_sink(unsigned /*chunk*/, sim::BatchToggleSink* sink) {
-        sim_.engine().set_sink(sink);
-    }
-    [[nodiscard]] const sim::BatchWordView* chunk_view(unsigned /*chunk*/) const {
-        return &sim_.engine();
-    }
-    [[nodiscard]] telemetry::SimStats stats() const noexcept {
-        return sim_.engine().stats();
-    }
-
-    [[nodiscard]] sim::BatchClockedSim& base() noexcept { return sim_; }
-
-private:
-    sim::BatchClockedSim sim_;
+        : CompiledClockedSim(nl, dm, sim::kBatchLanes, clock, coupling,
+                             options) {}
 };
 
-/// One campaign worker's lane-parallel replica: a chunked sim plus its
-/// per-chunk sink chain.  Construct in place (make_unique) and call
-/// attach_sinks() once -- the sink registrations hold pointers into the
-/// recorder/probe vectors, which are reserved up front and never move.
-template <class SimT>
+/// One campaign worker's lane-parallel replica: the lane sim plus its
+/// per-chunk sink chain.  Construct in place (make_unique, forwarding the
+/// CompiledClockedSim arguments) and call attach_sinks() once -- the sink
+/// registrations hold pointers into the recorder/probe vectors, which are
+/// reserved up front and never move.
 struct LaneWorker {
-    SimT sim;
+    sim::CompiledClockedSim sim;
     std::vector<power::BatchPowerRecorder> recorders;      // one per chunk
     std::vector<leakage::BatchAttributionProbe> probes;    // one per chunk
     std::vector<double> noisy;
@@ -165,8 +105,8 @@ struct LaneWorker {
         return sim.chunks() * 64u;
     }
 
-    /// Arms every chunk's recorder (and probe) for the next group.
-    /// Arms recorders and (when attribution is on) the per-chunk probes.
+    /// Arms every chunk's recorder (and, when attribution is on, probe)
+    /// for the next group.
     /// `fixed` points at chunks() per-chunk class masks, `count` is the
     /// number of live lanes in the group, and `attr` -- which must
     /// outlive the group -- receives the probes' window subtotals

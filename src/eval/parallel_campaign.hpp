@@ -20,7 +20,10 @@
 //      of the worker count.  Block size is a config constant, never
 //      derived from the pool size.
 // Together these make a campaign at any worker count -- including 1 --
-// produce bit-identical statistics.
+// produce bit-identical statistics.  The lane width (traces per simulator
+// pass, see resolve_lanes below) is the third free axis: lane groups are
+// cut inside each block and fold in trace order, so scalar and every
+// compiled width produce the same bits too.
 #pragma once
 
 #include <algorithm>
@@ -101,7 +104,7 @@ private:
 /// the degenerate values that would otherwise produce a silent zero-block
 /// plan or an unusable lane setting.  Throws std::invalid_argument with a
 /// message naming the field.  `lanes` follows the config convention
-/// (0 = auto, 1 = scalar, 64 = bitsliced).
+/// (0 = auto, 1 = scalar, 64/128/256/512 = compiled lane engine).
 void validate_campaign_config(std::size_t traces, std::size_t block_size,
                               unsigned lanes);
 
@@ -109,12 +112,14 @@ void validate_campaign_config(std::size_t traces, std::size_t block_size,
 /// hardware_concurrency (ThreadPool::default_worker_count()).
 [[nodiscard]] unsigned resolve_workers(unsigned configured);
 
-/// Resolves a config's `lanes` field (traces simulated per event-queue
-/// pass): 1 = scalar EventSimulator, 64 = bitsliced BatchEventSimulator.
-/// 0 = auto: GLITCHMASK_LANES env, default 64.  Timing coupling makes
-/// delays data-dependent, which breaks the shared-schedule premise of the
-/// batch engine, so `timing_coupling` forces the scalar path regardless
-/// of the configured value.  Throws on values outside {0, 1, 64}.
+/// Resolves a config's `lanes` field (traces simulated per pass): 1 =
+/// the scalar EventSimulator, 64/128/256/512 = the compiled lane engine
+/// (sim::CompiledClockedSim).  0 = auto: GLITCHMASK_LANES env, default 64
+/// -- one chunk, which the default 64-trace block always fills.  Timing
+/// coupling makes delays data-dependent, which breaks the shared-schedule
+/// premise of the lane engine, so `timing_coupling` forces the scalar
+/// path regardless of the configured value.  Throws on values outside
+/// {0, 1, 64, 128, 256, 512}.
 [[nodiscard]] unsigned resolve_lanes(unsigned configured, bool timing_coupling);
 
 /// Stream tags feeding mix64(mix64(seed, tag), trace_index): one derived
@@ -180,8 +185,8 @@ template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
     -> decltype(make_acc());
 
 /// Block-granular variant of run_sharded for collectors that process a
-/// whole block at once -- the bitsliced batch path simulates a block as
-/// lane groups of 64 consecutive trace indices, so it needs the [begin,
+/// whole block at once -- the lane engine simulates a block as lane
+/// groups of 64..512 consecutive trace indices, so it needs the [begin,
 /// end) range rather than one callback per trace:
 ///
 ///   run_block(H& worker, std::size_t begin, std::size_t end, Acc& acc)

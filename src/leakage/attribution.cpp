@@ -1,13 +1,13 @@
 #include "leakage/attribution.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
+#include "leakage/plane_fold_impl.h"
 #include "leakage/ttest.hpp"
+#include "support/simd.hpp"
 #include "support/table.hpp"
 
 namespace glitchmask::leakage {
@@ -146,10 +146,29 @@ void AttributionProbe::fold_trace(bool fixed, AttributionAccumulator& acc) {
 
 // ----- batch probe --------------------------------------------------------
 
+namespace plane_kernels {
+
+void fold_planes_scalar(std::uint64_t* planes, std::uint64_t* touched,
+                        std::size_t words, std::uint64_t fixed_lanes,
+                        std::uint64_t random_lanes, std::uint32_t* block) {
+    fold_planes_impl(planes, touched, words, fixed_lanes, random_lanes, block);
+}
+
+FoldPlanesFn resolve_fold_planes() noexcept {
+#if defined(GLITCHMASK_HAVE_AVX2)
+    if (support::active_simd_level() >= support::SimdLevel::kAvx2)
+        return fold_planes_avx2;
+#endif
+    return fold_planes_scalar;
+}
+
+}  // namespace plane_kernels
+
 BatchAttributionProbe::BatchAttributionProbe(const AttributionPlan& plan,
                                              sim::BatchToggleSink* next)
     : plan_(plan), next_(next) {
-    stamp_slot_.assign(plan.points(), 0);
+    planes_.assign(plan.net_count() * std::size_t{kPlanes}, 0u);
+    touched_.assign((plan.net_count() + 63u) / 64u, 0u);
 }
 
 void BatchAttributionProbe::begin_group(std::uint64_t fixed_mask,
@@ -161,16 +180,11 @@ void BatchAttributionProbe::begin_group(std::uint64_t fixed_mask,
     if (acc_ != nullptr && (acc_ != &acc || groups_in_block_ >= 1000))
         spill_block();
     if (block_.empty()) block_.assign(plan_.points() * 5, 0u);
-    touched_.clear();
-    if (++epoch_ == 0) {
-        std::fill(stamp_slot_.begin(), stamp_slot_.end(), std::uint64_t{0});
-        epoch_ = 1;
-    }
+    count_ = 0;  // no fold target: the flush below only clears
+    flush_window();  // counts an unfolded pass left behind
     cur_window_ = 0;
     window_end_ = plan_.window_ps();
     fixed_mask_ = fixed_mask;
-    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
-        class_of_[lane] = static_cast<std::uint8_t>((fixed_mask >> lane) & 1u);
     count_ = count;
     acc_ = &acc;
 }
@@ -185,101 +199,56 @@ void BatchAttributionProbe::on_toggle(netlist::NetId net, sim::TimePs time,
     if (time >= window_end_) {  // commit times never decrease in a group
         // The cursor leaves one or more windows behind: their counters
         // are final, so fold them while they are still cache-hot and
-        // recycle their arena slots for the windows ahead.
-        flush_windows();
+        // clear the plane rows for the windows ahead.
+        flush_window();
         do {
             window_end_ += plan_.window_ps();
             if (++cur_window_ >= plan_.windows()) return;
         } while (time >= window_end_);
     }
-    const std::size_t point = plan_.point_index(probe, cur_window_);
-    const std::uint64_t entry = stamp_slot_[point];
-    std::uint32_t slot = static_cast<std::uint32_t>(entry);
-    if (static_cast<std::uint32_t>(entry >> 32) != epoch_) {
-        slot = static_cast<std::uint32_t>(touched_.size());
-        stamp_slot_[point] = (std::uint64_t{epoch_} << 32) | slot;
-        touched_.push_back(static_cast<std::uint32_t>(point));
-        if (arena_.size() < (slot + 1u) * std::size_t{sim::kBatchLanes})
-            arena_.resize((slot + 1u) * std::size_t{sim::kBatchLanes});
-        std::fill_n(arena_.begin() + slot * std::size_t{sim::kBatchLanes},
-                    sim::kBatchLanes, std::uint8_t{0});
+    // Ripple-carry add of the toggled-lane mask through all the planes:
+    // branch-free, since whether the carry dies in plane 0, 1 or 2 is
+    // data-dependent and would mispredict.
+    std::uint64_t* planes = planes_.data() + probe * std::size_t{kPlanes};
+    std::uint64_t carry = toggled;
+    for (unsigned k = 0; k < kPlanes; ++k) {
+        const std::uint64_t plane = planes[k];
+        planes[k] = plane ^ carry;
+        carry &= plane;
     }
-    // SWAR deposit, 8 lane counters per step: spread the mask byte to one
-    // 0/1 increment per counter byte, then suppress increments for bytes
-    // already saturated at 255.  Both byte tests are exact (no borrow
-    // artifacts): a byte of `v` is nonzero iff the high bit of
-    // ((v & 0x7f..) + 0x7f..) | v is set.
-    std::uint8_t* counts =
-        arena_.data() + slot * std::size_t{sim::kBatchLanes};
-    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
-    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
-    // Only visit the nonzero bytes of the mask (masks are sparse: schedule
-    // groups split lanes by mark time, so most commits touch 1-2 bytes).
-    std::uint64_t nz = ((((toggled & kLow7) + kLow7) | toggled) & kHigh);
-    while (nz != 0) {
-        const unsigned k = static_cast<unsigned>(std::countr_zero(nz)) / 8u;
-        nz &= nz - 1;
-        const std::uint64_t mb = (toggled >> (8 * k)) & 0xFFu;
-        // Byte j of `bits` holds bit j of mb (in that byte's bit j).
-        const std::uint64_t bits =
-            (mb * 0x0101010101010101ull) & 0x8040201008040201ull;
-        const std::uint64_t spread =
-            ((((bits & kLow7) + kLow7) | bits) & kHigh) >> 7;  // 0/1 per byte
-        std::uint64_t x;
-        std::memcpy(&x, counts + 8 * k, 8);
-        const std::uint64_t t = ~x;  // byte 0 <=> counter at 255
-        const std::uint64_t sat01 = (~((((t & kLow7) + kLow7) | t) & kHigh) &
-                                     kHigh) >> 7;  // 0/1 per saturated byte
-        x += spread & ~sat01;
-        std::memcpy(counts + 8 * k, &x, 8);
+    if (carry != 0) {
+        // Carry out of the top plane: exactly the lanes that sat at 255
+        // and wrapped to 0 -- pin them back (saturation).
+        for (unsigned k = 0; k < kPlanes; ++k) planes[k] |= carry;
     }
+    touched_[probe / 64u] |= std::uint64_t{1} << (probe % 64u);
 }
 
-void BatchAttributionProbe::flush_windows() {
+void BatchAttributionProbe::flush_window() {
     // Every addend is a small integer (counts saturate at 255) and every
     // partial sum stays far below 2^53, so the accumulator's doubles only
     // ever hold *exact* integers: no addition ever rounds, and any
     // association of the same addends lands on the same double.  That
     // frees the fold from replaying the scalar path's per-trace FP chain
-    // -- subtotal in plain integers (1-cycle dependencies instead of
-    // FP-add latency) and add one exact subtotal per class, still `==`
-    // the scalar fold_trace() sequence.
-    if (count_ != 0 && acc_ != nullptr) {
-        for (const std::uint32_t point : touched_) {
-            const std::uint8_t* counts =
-                arena_.data() + static_cast<std::uint32_t>(stamp_slot_[point]) *
-                                    std::size_t{sim::kBatchLanes};
-            // Branchless per-lane accumulation, class selected by a 0/1
-            // multiply: no data-dependent branches, so the compiler turns
-            // the loop into SIMD widening sums -- faster than any
-            // byte-skipping walk once a net toggles in most lanes (the
-            // common case for shared control and clock fanout).
-            std::uint32_t sum = 0, sum_f = 0, sumsq = 0, sumsq_f = 0;
-            std::uint32_t lanes = 0;
-            for (unsigned lane = 0; lane < count_; ++lane) {
-                const std::uint32_t c = counts[lane];
-                const std::uint32_t m = class_of_[lane];
-                sum += c;
-                sum_f += c * m;
-                sumsq += c * c;
-                sumsq_f += c * c * m;
-                lanes += c != 0 ? 1u : 0u;
-            }
-            std::uint32_t* b = block_.data() + point * std::size_t{5};
-            b[0] += sum_f;
-            b[1] += sumsq_f;
-            b[2] += sum - sum_f;
-            b[3] += sumsq - sumsq_f;
-            b[4] += lanes;
-        }
-    }
-    // Recycling the touch list restarts slot allocation at 0: the next
-    // window reuses the same (cache-hot) arena rows.
-    touched_.clear();
+    // -- subtotal in plain integers, in net order rather than commit
+    // order, and add one exact subtotal per class, still `==` the scalar
+    // fold_trace() sequence.
+    static const plane_kernels::FoldPlanesFn kernel =
+        plane_kernels::resolve_fold_planes();
+    // Lanes >= count_ (partial final group) never enter the sums.
+    const std::uint64_t live =
+        count_ >= sim::kBatchLanes ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << count_) - 1u;
+    std::uint32_t* block =
+        count_ != 0 && acc_ != nullptr
+            ? block_.data() + plan_.point_index(0, cur_window_) * std::size_t{5}
+            : nullptr;
+    kernel(planes_.data(), touched_.data(), touched_.size(),
+           live & fixed_mask_, live & ~fixed_mask_, block);
 }
 
 void BatchAttributionProbe::fold_group() {
-    flush_windows();
+    flush_window();
     if (acc_ == nullptr) return;
     ++groups_in_block_;
     for (unsigned lane = 0; lane < count_; ++lane) {
@@ -370,11 +339,14 @@ AttributionResult analyze_attribution(const netlist::Netlist& nl,
 
     const std::uint64_t traces = acc.traces_fixed + acc.traces_random;
     const std::size_t windows = plan.windows();
-    std::vector<std::size_t> order(plan.net_count());
-    std::vector<NetAttribution> nets(plan.net_count());
+    const std::size_t net_count = plan.net_count();
+    std::vector<std::size_t> order(net_count);
+    std::vector<NetAttribution> nets(net_count);
+    // Net-major (net * windows + window), the layout of the result rows.
     std::vector<double> abs_t(plan.points(), 0.0);
+    std::vector<std::uint64_t> glitches(plan.points(), 0);
 
-    for (std::size_t i = 0; i < plan.net_count(); ++i) {
+    for (std::size_t i = 0; i < net_count; ++i) {
         order[i] = i;
         const netlist::NetId id = plan.net(i);
         NetAttribution& net = nets[i];
@@ -382,8 +354,23 @@ AttributionResult analyze_attribution(const netlist::Netlist& nl,
         net.name = nl.name(id).empty() ? "n" + std::to_string(id) : nl.name(id);
         net.kind = std::string(netlist::kind_name(nl.cell(id).kind));
         net.module = nl.module_names()[nl.module_of(id)];
-        for (std::size_t w = 0; w < windows; ++w) {
+    }
+    // Window-major walk: the accumulator streams in storage order, and
+    // each net still sees its windows in increasing order, so the strict
+    // `>` keeps the first window of the maximum as argmax.
+    for (std::size_t w = 0; w < windows; ++w) {
+        for (std::size_t i = 0; i < net_count; ++i) {
             const PointStats& p = acc.point(plan.point_index(i, w));
+            NetAttribution& net = nets[i];
+            net.toggles += p.toggles;
+            net.glitches += p.glitches;
+            glitches[i * windows + w] = p.glitches;
+            // A point that never toggled has zero means and variances,
+            // so its t is the 0.0 sentinel abs_t already holds (about
+            // half the points of a scoped DES run).
+            if (p.sum_fixed == 0.0 && p.sum_random == 0.0 &&
+                p.sumsq_fixed == 0.0 && p.sumsq_random == 0.0)
+                continue;
             const ClassStats f =
                 class_stats(p.sum_fixed, p.sumsq_fixed, acc.traces_fixed);
             const ClassStats r =
@@ -398,14 +385,13 @@ AttributionResult analyze_attribution(const netlist::Netlist& nl,
                 net.argmax_window = w;
                 net.snr = snr_of(f, acc.traces_fixed, r, acc.traces_random);
             }
-            net.toggles += p.toggles;
-            net.glitches += p.glitches;
         }
+    }
+    for (NetAttribution& net : nets)
         net.glitch_density =
             traces > 0
                 ? static_cast<double>(net.glitches) / static_cast<double>(traces)
                 : 0.0;
-    }
 
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         if (nets[a].max_abs_t != nets[b].max_abs_t)
@@ -424,7 +410,7 @@ AttributionResult analyze_attribution(const netlist::Netlist& nl,
         for (std::size_t w = 0; w < windows; ++w) {
             result.abs_t[rank * windows + w] = abs_t[i * windows + w];
             result.window_glitches[rank * windows + w] =
-                acc.point(plan.point_index(i, w)).glitches;
+                glitches[i * windows + w];
         }
     }
     return result;

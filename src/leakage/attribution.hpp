@@ -4,7 +4,7 @@
 // The trace-level TVLA engine observes only the summed power trace, so a
 // verdict says "the design leaks" but never *which gate*.  Attribution
 // answers that question by tapping the committed toggle stream of both
-// event simulators (a probe chained in front of the power recorder, so
+// engines, scalar and lane (a probe chained in front of the power recorder, so
 // the power path is untouched) and accumulating, per watched net and per
 // clock window, the per-trace toggle count into per-class sums.  From
 // those sums each (net, window) point yields a Welch t-statistic and an
@@ -26,8 +26,10 @@
 //  * the per-block accumulator merges by componentwise addition of sums
 //    and integer counters, so the fixed merge tree of the sharded runner
 //    makes results bit-identical at any worker count;
-//  * the batch probe folds lanes in trace order, making the 64-lane path
-//    bit-identical to the scalar one (asserted with == in tests);
+//  * the batch probe's subtotals are exact integers, so its fold order
+//    (per window, net by net) lands on the same doubles as the scalar
+//    probe's trace-by-trace fold: the 64-lane path is bit-identical to
+//    the scalar one (asserted with == in tests);
 //  * encode/decode round-trips every field exactly (f64 bit patterns),
 //    so checkpoint resume is bit-identical too.
 //
@@ -42,7 +44,7 @@
 
 #include "netlist/export.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/batch_simulator.hpp"
+#include "sim/compiled_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "support/snapshot.hpp"
 
@@ -183,17 +185,50 @@ private:
     sim::TimePs window_end_ = 0;
 };
 
-/// Bitsliced probe: same contract for up to 64 traces per event-queue
-/// pass.  Counts live in a slot arena indexed by touch order (64 bytes
-/// per touched point); each window's subtotals are folded into the
-/// registered accumulator the moment the window cursor passes it -- the
-/// counters are still cache-hot then, and clearing the touch list lets
-/// the next window reuse the same arena slots, so the deposit working
-/// set stays ~net_count x 64 bytes for the whole group instead of one
-/// row per (net, window) point.  All accumulator sums are exact small
-/// integers held in doubles (counts saturate at 255, totals stay far
-/// below 2^53), so this early, chunk-interleaved addition order is
-/// bit-identical to 64 scalar fold_trace() calls.
+namespace plane_kernels {
+
+/// Bit planes per lane-count row: counts saturate at 255.
+inline constexpr unsigned kPlanes = 8;
+
+/// Folds and clears one window of BatchAttributionProbe's bit-plane
+/// counters: for every net whose bit is set in `touched` (`words`
+/// words), adds its planes' (`planes + net * 8`) class sums, sums of
+/// squares and toggling-lane count to `block + net * 5` (null: discard),
+/// then zeroes its planes and every touched bit.  Lanes outside
+/// `fixed_lanes | random_lanes` never count.  All levels are
+/// bit-identical (integer arithmetic only).
+using FoldPlanesFn = void (*)(std::uint64_t* planes, std::uint64_t* touched,
+                              std::size_t words, std::uint64_t fixed_lanes,
+                              std::uint64_t random_lanes,
+                              std::uint32_t* block);
+
+void fold_planes_scalar(std::uint64_t* planes, std::uint64_t* touched,
+                        std::size_t words, std::uint64_t fixed_lanes,
+                        std::uint64_t random_lanes, std::uint32_t* block);
+#if defined(GLITCHMASK_HAVE_AVX2)
+void fold_planes_avx2(std::uint64_t* planes, std::uint64_t* touched,
+                      std::size_t words, std::uint64_t fixed_lanes,
+                      std::uint64_t random_lanes, std::uint32_t* block);
+#endif
+
+/// Kernel for support::active_simd_level(); never null.
+[[nodiscard]] FoldPlanesFn resolve_fold_planes() noexcept;
+
+}  // namespace plane_kernels
+
+/// Bitsliced probe: same contract for up to 64 traces per lane-engine
+/// pass.  The active window's 64 lane counts per watched net live as
+/// *bit planes* (plane k holds bit k of every lane's count, 64 bytes per
+/// net): a deposit is a branch-free ripple-carry add of the toggled-lane
+/// mask, and a window fold is a handful of popcounts over the planes in
+/// use.  Each window's subtotals are folded the moment the window cursor
+/// passes it -- the planes are still cache-hot then -- and its rows are
+/// cleared for the next window, so the working set stays net_count x 64
+/// bytes for the whole group instead of one row per (net, window)
+/// point.  All accumulator sums are exact small integers held in doubles
+/// (counts saturate at 255, totals stay far below 2^53), so this early,
+/// chunk-interleaved addition order is bit-identical to 64 scalar
+/// fold_trace() calls.
 class BatchAttributionProbe final : public sim::BatchToggleSink {
 public:
     BatchAttributionProbe(const AttributionPlan& plan,
@@ -224,25 +259,21 @@ public:
     void spill_block();
 
 private:
-    void flush_windows();
+    void flush_window();
+
+    static constexpr unsigned kPlanes = plane_kernels::kPlanes;
 
     const AttributionPlan& plan_;
     sim::BatchToggleSink* next_;
-    // Per point: (epoch of last touch << 32) | arena slot.  One word so
-    // the first-touch check and the slot lookup share a cache line.
-    std::vector<std::uint64_t> stamp_slot_;
-    std::vector<std::uint8_t> arena_;    // 64 lane counts per slot
-    std::vector<std::uint32_t> touched_; // point indices, commit order
-    // 0/1 per lane, spread from begin_group's fixed_mask: lets the flush
-    // inner loop select the class arithmetically (branchless, so the
-    // compiler vectorizes it).
-    std::uint8_t class_of_[sim::kBatchLanes] = {};
+    // Active window's counts: kPlanes lane-count planes per watched net.
+    std::vector<std::uint64_t> planes_;
+    // One bit per watched net with a nonzero count in the active window.
+    std::vector<std::uint64_t> touched_;
     // Per-point block subtotals, 5 u32 each: sum/sumsq per class plus the
     // toggling-lane count (toggles = sum_f + sum_r, glitches = toggles -
     // lanes).  Exact small integers, spilled into the accumulator's
     // (equally exact) doubles by spill_block().
     std::vector<std::uint32_t> block_;
-    std::uint32_t epoch_ = 1;
     // Monotonic window cursor (commit times never decrease in a group):
     // window_end_ == (cur_window_ + 1) * window_ps.
     std::size_t cur_window_ = 0;

@@ -80,7 +80,7 @@ struct LedgerEntry {
     std::string host;
     std::string utc;       // "YYYY-MM-DDTHH:MM:SSZ"; sorts chronologically
     std::string status{"completed"};  // job_state_name-style verdict
-    std::string backend;   // "", "event", "compiled"
+    std::string backend;   // bench rows: "scalar", "compiled" (older: "event")
     unsigned workers = 0;
     unsigned lanes = 0;
     double wall_seconds = 0.0;

@@ -1,8 +1,9 @@
-// Lane-word power recording for the bitsliced batch simulator.
+// Lane-word power recording for one 64-lane chunk of the compiled
+// wide-lane engine (sim/compiled_simulator.hpp).
 //
 // The scalar PowerRecorder deposits one energy weight per committed
-// toggle; the batch engine commits up to 64 traces' toggles in one event,
-// delivered as a lane mask.  BatchPowerRecorder keeps a bin-major matrix
+// toggle; the lane engine commits up to 64 traces' toggles per chunk in
+// one event, delivered as a lane mask.  BatchPowerRecorder keeps a bin-major matrix
 // of (bins x 64) samples and deposits the identical per-toggle doubles
 // into each toggled lane's column, in the identical per-lane event order,
 // so every lane's extracted trace is bit-for-bit the scalar trace of that
@@ -14,8 +15,8 @@
 //
 // Energy coupling (PowerConfig::coupling_epsilon) works in batch mode:
 // the Miller term only reads the *committed* lane word of the partner
-// net, available from the attached engine.  Timing coupling never reaches
-// this class -- the batch engine refuses to construct under it.
+// net, available from the attached chunk view.  Timing coupling never
+// reaches this class -- the lane engine refuses to construct under it.
 #pragma once
 
 #include <array>
@@ -24,7 +25,7 @@
 
 #include "power/deposit_kernels.hpp"
 #include "power/power_model.hpp"
-#include "sim/batch_simulator.hpp"
+#include "sim/compiled_simulator.hpp"
 
 namespace glitchmask::power {
 
@@ -33,8 +34,8 @@ public:
     BatchPowerRecorder(const Netlist& nl, PowerConfig config);
 
     /// Neighbour lane words for the coupling term; required only when
-    /// coupling_epsilon != 0.  Any BatchWordView works: the batch engine
-    /// itself, or one chunk of the compiled wide-lane engine.
+    /// coupling_epsilon != 0: the chunk view of the lane engine this
+    /// recorder's sink is registered on.
     void attach(const sim::BatchWordView* engine) noexcept {
         engine_ = engine;
     }

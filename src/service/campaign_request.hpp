@@ -11,10 +11,10 @@
 // the campaign run_gadget_tvla would run.
 //
 // request_fingerprint() reuses the drivers' exported checkpoint
-// fingerprints as the dedupe/cache key -- deliberately *without* the
-// backend fold (scalar/bitsliced/compiled results are proven
-// bit-identical, so a cached result from any backend answers all of
-// them) and without attribution (the service runs statistics-only).
+// fingerprints as the dedupe/cache key -- lane width is never part of
+// it (scalar and every compiled width are proven bit-identical, so a
+// cached result from any width answers all of them) -- and without
+// attribution (the service runs statistics-only).
 #pragma once
 
 #include <cstdint>

@@ -25,9 +25,16 @@
 //     most of a ~1 MB working set at W=4); now it touches one struct
 //     line-run plus the two small heap blocks.
 //   * Event is 48 bytes at W=4: pin packs into the cell id's top byte
-//     (programs are capped at 2^24 cells) and seq is 32-bit with an
-//     explicit overflow guard (a settle pass never reaches 4G events).
+//     (programs are capped at 2^24 cells), seq is 32-bit with an
+//     explicit overflow guard (a settle pass never reaches 4G events),
+//     and the time is implied by the ring slot the event sits in.
 //     Commit events never write or read their mask.
+//   * Events live in one pooled store: each ring slot is a circular
+//     singly linked FIFO named by its tail index (tail->next is the
+//     head, so a slot costs 4 bytes) and drained events return to a LIFO
+//     free list, so memory is O(queue peak) instead of one vector
+//     capacity per slot, and a freshly freed (cache-hot) record is the
+//     next one reused.
 //
 // Everything here lives in internal linkage except the factory, so two
 // variants in one binary cannot collide.
@@ -50,6 +57,7 @@ namespace {
 constexpr std::uint8_t kOutputPin = 0xFF;
 constexpr std::uint8_t kSourcePin = 0xFE;
 constexpr TimePs kNoEvent = ~TimePs{0};
+constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
 // ----- lane words --------------------------------------------------------
 
@@ -197,7 +205,7 @@ public:
         }
         pin_val_.resize(p_->pin_base[n]);
         ring_mask_ = p_->ring_size - 1;
-        buckets_.resize(p_->ring_size);
+        slots_.assign(p_->ring_size, kNil);
         occ_.assign(p_->ring_size / 64, 0);
         for (unsigned c = 0; c < W; ++c) views_[c].bind(this, c);
         initialize();
@@ -206,9 +214,9 @@ public:
     [[nodiscard]] unsigned chunks() const noexcept override { return W; }
 
     void initialize() override {
-        for (std::size_t slot = 0; slot < buckets_.size(); ++slot)
-            buckets_[slot].clear();
-        std::fill(occ_.begin(), occ_.end(), 0);
+        // O(pending): only occupied slots are released (none after a
+        // run that drained its queue), never a sweep of the whole ring.
+        if (wheel_count_ != 0) release_wheel();
         overflow_ = {};
         wheel_count_ = 0;
         live_ = 0;
@@ -269,7 +277,7 @@ public:
 
     void sample_flops(const std::uint8_t* enable, const std::uint8_t* reset,
                       TimePs launch) override {
-        // Same per-edge discipline as BatchClockedSim: reset beats enable,
+        // Same per-edge discipline as ClockedSim: reset beats enable,
         // the D pin is the wire-delayed view, and only changed lanes are
         // launched (flop order == drive order == seq order).
         for (const CompiledProgram::FlopInfo& flop : p_->flops) {
@@ -325,21 +333,21 @@ private:
     // pin event needs only the toggle mask (per-edge FIFO delivery means
     // flipping exactly those lanes reproduces the old merge), and commit
     // events (output or source) carry nothing -- their lanes and target
-    // value wait in CellState::pending, keyed by seq.  pin lives in the
-    // cell id's top byte and seq is 32-bit (guarded), so the header is
-    // 16 bytes and an Event is 48 B at W=4 / 80 B at W=8.
+    // value wait in CellState::pending, keyed by seq.  The time is the
+    // ring slot's (every event in a slot shares one time, see push()),
+    // pin lives in the cell id's top byte and seq is 32-bit (guarded), so
+    // the header is 16 bytes including the slot-list link, and an Event
+    // is 48 B at W=4 / 80 B at W=8.
     struct Event {
-        TimePs time;
         std::uint32_t seq;
         std::uint32_t cell_pin;  // (pin << 24) | cell
+        std::uint32_t next;      // slot FIFO / free-list link
         LW<W> mask;              // pin event: lanes to flip; commits: unused
-
-        Event() = default;
-        Event(TimePs t, std::uint32_t s, std::uint32_t cp) noexcept
-            : time(t), seq(s), cell_pin(cp) {}
-        Event(TimePs t, std::uint32_t s, std::uint32_t cp,
-              const LW<W>& m) noexcept
-            : time(t), seq(s), cell_pin(cp), mask(m) {}
+    };
+    /// An event past the ring horizon, waiting in the overflow heap.
+    struct Deferred {
+        TimePs time;
+        Event ev;
     };
     struct Pending {
         TimePs time;
@@ -352,8 +360,8 @@ private:
         LW<W> lanes;
     };
     struct Later {
-        bool operator()(const Event& a, const Event& b) const noexcept {
-            return (a.time != b.time) ? a.time > b.time : a.seq > b.seq;
+        bool operator()(const Deferred& a, const Deferred& b) const noexcept {
+            return (a.time != b.time) ? a.time > b.time : a.ev.seq > b.ev.seq;
         }
     };
 
@@ -404,42 +412,113 @@ private:
     }
 
     // ----- time-slot ring ------------------------------------------------
+    //
+    // A push at `time` lands in slot time & ring_mask_ when it is within
+    // the horizon (time - now_ <= ring_mask_), else in the overflow heap.
+    // Every ring event lies in [now_, now_ + ring_mask_], so one slot only
+    // ever holds events of a single time.
 
-    void note_push(TimePs time) noexcept {
+    [[nodiscard]] std::uint32_t alloc_event() {
+        if (free_ != kNil) {
+            const std::uint32_t idx = free_;
+            free_ = pool_[idx].next;
+            return idx;
+        }
+        if (pool_.size() >= kNil)
+            throw std::runtime_error("CompiledEngine: event pool overflow");
+        pool_.emplace_back();
+        return static_cast<std::uint32_t>(pool_.size() - 1);
+    }
+
+    void free_event(std::uint32_t idx) noexcept {
+        pool_[idx].next = free_;
+        free_ = idx;
+    }
+
+    void mark_occupied(std::size_t slot) noexcept {
+        ++wheel_count_;
+        occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+
+    /// Appends pooled event `idx` to `slot`: a fresh push carries the
+    /// largest seq so far, so the tail is its seq position.
+    void append(std::size_t slot, std::uint32_t idx) noexcept {
+        std::uint32_t& tail = slots_[slot];
+        if (tail == kNil) {
+            pool_[idx].next = idx;
+        } else {
+            pool_[idx].next = pool_[tail].next;
+            pool_[tail].next = idx;
+        }
+        tail = idx;
+        mark_occupied(slot);
+    }
+
+    /// Links an overflow event migrating into `slot` at its seq position:
+    /// same-time pushes queued while it waited in the heap carry larger
+    /// seqs and must stay behind it.
+    void insert_sorted(std::size_t slot, std::uint32_t idx) noexcept {
+        const std::uint32_t tail = slots_[slot];
+        const std::uint32_t seq = pool_[idx].seq;
+        if (tail == kNil || pool_[tail].seq < seq) {
+            append(slot, idx);
+            return;
+        }
+        // The tail's seq is larger, so the walk from the head stops
+        // before wrapping around.
+        std::uint32_t prev = tail;
+        while (pool_[pool_[prev].next].seq < seq) prev = pool_[prev].next;
+        pool_[idx].next = pool_[prev].next;
+        pool_[prev].next = idx;
+        mark_occupied(slot);
+    }
+
+    void push(TimePs time, std::uint32_t cell_pin, const LW<W>* mask) {
+        const std::uint32_t seq = next_seq();
         ++live_;
         if (live_ > queue_peak_) queue_peak_ = live_;
-        const std::size_t slot = time & ring_mask_;
-        occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        ++wheel_count_;
+        if (time - now_ <= ring_mask_) {
+            const std::uint32_t idx = alloc_event();
+            Event& ev = pool_[idx];
+            ev.seq = seq;
+            ev.cell_pin = cell_pin;
+            if (mask != nullptr) ev.mask = *mask;
+            append(time & ring_mask_, idx);
+        } else {
+            Deferred d{time, Event{seq, cell_pin, kNil, {}}};
+            if (mask != nullptr) d.ev.mask = *mask;
+            overflow_.push(d);
+        }
     }
 
     /// Commit event: lanes/value live in CellState::pending under this
     /// seq, so the event's mask stays unwritten (and unread).
     void push_commit(CellId cell, std::uint8_t pin, TimePs time) {
-        const std::uint32_t seq = next_seq();
-        if (time - now_ <= ring_mask_) {
-            buckets_[time & ring_mask_].emplace_back(time, seq,
-                                                     pack(cell, pin));
-            note_push(time);
-        } else {
-            ++live_;
-            if (live_ > queue_peak_) queue_peak_ = live_;
-            overflow_.push(Event(time, seq, pack(cell, pin)));
-        }
+        push(time, pack(cell, pin), nullptr);
     }
 
     void push_pin_event(CellId cell, std::uint8_t pin, TimePs time,
                         const LW<W>& mask) {
-        const std::uint32_t seq = next_seq();
-        if (time - now_ <= ring_mask_) {
-            buckets_[time & ring_mask_].emplace_back(time, seq,
-                                                     pack(cell, pin), mask);
-            note_push(time);
-        } else {
-            ++live_;
-            if (live_ > queue_peak_) queue_peak_ = live_;
-            overflow_.push(Event(time, seq, pack(cell, pin), mask));
+        push(time, pack(cell, pin), &mask);
+    }
+
+    /// Returns every ring event to the free list (restart with events
+    /// still queued): walks the occupancy bitmap, so the cost is the
+    /// occupied slots, not the ring size.
+    void release_wheel() noexcept {
+        for (std::size_t w = 0; w < occ_.size(); ++w) {
+            for (std::uint64_t bits = occ_[w]; bits != 0; bits &= bits - 1) {
+                const std::size_t slot =
+                    (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+                std::uint32_t& tail = slots_[slot];
+                const std::uint32_t head = pool_[tail].next;
+                pool_[tail].next = free_;
+                free_ = head;
+                tail = kNil;
+            }
+            occ_[w] = 0;
         }
+        wheel_count_ = 0;
     }
 
     /// Earliest occupied slot time >= now_ (valid only when the wheel is
@@ -464,18 +543,11 @@ private:
 
     void migrate_overflow() {
         while (!overflow_.empty() && overflow_.top().time - now_ <= ring_mask_) {
-            Event ev = overflow_.top();
+            const Deferred d = overflow_.top();
             overflow_.pop();
-            const std::size_t slot = ev.time & ring_mask_;
-            auto& bucket = buckets_[slot];
-            // Keep the bucket seq-sorted: entries appended while this
-            // event sat in the overflow heap carry larger seq numbers.
-            std::size_t pos = bucket.size();
-            while (pos > 0 && bucket[pos - 1].seq > ev.seq) --pos;
-            bucket.insert(bucket.begin() + static_cast<std::ptrdiff_t>(pos),
-                          std::move(ev));
-            occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-            ++wheel_count_;
+            const std::uint32_t idx = alloc_event();
+            pool_[idx] = d.ev;
+            insert_sorted(d.time & ring_mask_, idx);
         }
     }
 
@@ -489,34 +561,41 @@ private:
         now_ = t;
         migrate_overflow();
         const std::size_t slot = t & ring_mask_;
-        auto& bucket = buckets_[slot];
-        // Index loop, size re-read each pass: same-time pushes during the
-        // drain append here and must run in this pass (FIFO == seq order,
-        // exactly the heap's (time, seq) order).  Only the 16-byte header
-        // is copied up front (pushes may reallocate the bucket); the mask
-        // is copied just for pin events.
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            const TimePs time = bucket[i].time;
-            const std::uint32_t seq = bucket[i].seq;
-            const std::uint32_t cell_pin = bucket[i].cell_pin;
+        std::uint32_t& tail = slots_[slot];
+        // Pop from the head until the slot is empty: same-time pushes
+        // during the drain append at the tail and run in this pass (FIFO
+        // == seq order, exactly the heap's (time, seq) order).  Each
+        // event is unlinked and freed before it runs, so the header (and,
+        // for pin events, the mask) is copied out first -- a push may
+        // reuse the record or grow the pool.
+        while (tail != kNil) {
+            const std::uint32_t idx = pool_[tail].next;
+            const Event& ev = pool_[idx];
+            const std::uint32_t seq = ev.seq;
+            const std::uint32_t cell_pin = ev.cell_pin;
+            if (idx == tail)
+                tail = kNil;
+            else
+                pool_[tail].next = ev.next;
             ++processed_;
             --wheel_count_;
             --live_;
             const CellId cell = cell_pin & 0xFFFFFFu;
             const std::uint8_t pin = static_cast<std::uint8_t>(cell_pin >> 24);
             if (pin >= kSourcePin) {
-                commit_output(cell, time, seq);
+                free_event(idx);
+                commit_output(cell, t, seq);
             } else {
-                const LW<W> mask = bucket[i].mask;
-                update_pin(cell, pin, time, mask);
+                const LW<W> mask = ev.mask;
+                free_event(idx);
+                update_pin(cell, pin, t, mask);
             }
         }
-        bucket.clear();
         occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
         return true;
     }
 
-    // ----- ported event-engine semantics (see sim/batch_simulator.cpp) --
+    // ----- per-lane commit discipline -----------------------------------
 
     void schedule_group(CellId cell, const LW<W>& value, const LW<W>& lanes,
                         TimePs when) {
@@ -667,12 +746,14 @@ private:
     std::vector<CellState> cells_;
     std::vector<LW<W>> pin_val_;
 
-    std::vector<std::vector<Event>> buckets_;
+    std::vector<Event> pool_;       // pooled event store
+    std::uint32_t free_ = kNil;     // LIFO free list through Event::next
+    std::vector<std::uint32_t> slots_;  // per slot: FIFO tail, or kNil
     std::vector<std::uint64_t> occ_;
     std::size_t ring_mask_ = 0;
     std::size_t wheel_count_ = 0;
     std::size_t live_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> overflow_;
+    std::priority_queue<Deferred, std::vector<Deferred>, Later> overflow_;
 
     BatchToggleSink* sinks_[W] = {};
     ChunkView views_[W];

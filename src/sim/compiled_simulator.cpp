@@ -4,6 +4,7 @@
 #include <bit>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "support/simd.hpp"
 
@@ -95,7 +96,7 @@ std::shared_ptr<const CompiledProgram> build_program(const netlist::Netlist& nl,
         for (unsigned q = 0; q < pins; ++q) p.in[id * 3 + q] = cell.in[q];
         p.gate_ps[id] = dm.gate_delay(id);
         max_gate = std::max(max_gate, p.gate_ps[id]);
-        // Same rounding expression as the event engines so the inertial
+        // Same rounding expression as the scalar engine so the inertial
         // windows agree bit-for-bit.
         p.inertial_window[id] = static_cast<TimePs>(
             options.inertial_factor * static_cast<double>(dm.gate_delay(id)));
@@ -103,7 +104,7 @@ std::shared_ptr<const CompiledProgram> build_program(const netlist::Netlist& nl,
             p.flops.push_back({id, cell.enable, cell.reset});
 
         // All-sources-low steady state in creation order (topological for
-        // combinational cells) -- identical to the event engines' settle.
+        // combinational cells) -- identical to the scalar engine's settle.
         std::uint8_t one = 0;
         switch (cell.kind) {
             case netlist::CellKind::Input:
@@ -140,20 +141,25 @@ std::shared_ptr<const CompiledProgram> build_program(const netlist::Netlist& nl,
         }
     }
 
-    // Ring horizon: the longest push offset past `now` is one wire hop
-    // plus one gate delay plus the clk-to-Q launch, with generous slack
-    // for the monotonic +1 bump chains.  Events past the horizon (never
-    // produced by the clocked drivers) fall back to the overflow heap, so
-    // correctness does not depend on this value.
-    const std::uint64_t span = static_cast<std::uint64_t>(max_wire) +
-                               2ull * max_gate + p.clk_to_q + 1024u;
-    p.ring_size = std::bit_ceil(std::max<std::uint64_t>(span, 4096u));
+    // Ring horizon: every push is relative to the event being processed
+    // (or to the clock edge), so the longest offset past `now` is the
+    // largest of one wire hop, one gate delay plus slack for the
+    // monotonic +1 bump chains, and the clk-to-Q launch.  Events past the
+    // horizon (never produced by the clocked drivers) fall back to the
+    // overflow heap, so correctness does not depend on this value.
+    const std::uint64_t span =
+        std::max<std::uint64_t>({max_wire, max_gate + 1024ull, p.clk_to_q});
+    p.ring_size = std::bit_ceil(std::max<std::uint64_t>(span, 64u));
     return prog;
 }
 
+/// Registry of the programs some engine still holds: keyed lookups share
+/// a live program, and a program dies with its last engine, so compiled
+/// state never outlives the campaigns using it.
 struct ProgramCache {
     std::mutex mutex;
-    std::vector<std::shared_ptr<const CompiledProgram>> entries;  // MRU first
+    std::vector<std::pair<std::uint64_t, std::weak_ptr<const CompiledProgram>>>
+        entries;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
 };
@@ -162,8 +168,6 @@ ProgramCache& program_cache() {
     static ProgramCache cache;
     return cache;
 }
-
-constexpr std::size_t kProgramCacheCapacity = 8;
 
 }  // namespace
 
@@ -175,28 +179,28 @@ std::shared_ptr<const CompiledProgram> compile_netlist(const netlist::Netlist& n
     const std::uint64_t key = program_key(nl, dm, options);
     ProgramCache& cache = program_cache();
     std::lock_guard<std::mutex> lock(cache.mutex);
-    for (std::size_t i = 0; i < cache.entries.size(); ++i) {
-        if (cache.entries[i]->key == key) {
-            auto hit = cache.entries[i];
-            cache.entries.erase(cache.entries.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-            cache.entries.insert(cache.entries.begin(), hit);
+    std::erase_if(cache.entries,
+                  [](const auto& entry) { return entry.second.expired(); });
+    for (const auto& [entry_key, weak] : cache.entries) {
+        if (entry_key != key) continue;
+        if (auto hit = weak.lock()) {
             ++cache.hits;
             return hit;
         }
     }
     ++cache.misses;
     auto prog = build_program(nl, dm, options, key);
-    cache.entries.insert(cache.entries.begin(), prog);
-    if (cache.entries.size() > kProgramCacheCapacity)
-        cache.entries.resize(kProgramCacheCapacity);
+    cache.entries.emplace_back(key, prog);
     return prog;
 }
 
 CompiledCacheStats compiled_program_cache_stats() {
     ProgramCache& cache = program_cache();
     std::lock_guard<std::mutex> lock(cache.mutex);
-    return CompiledCacheStats{cache.hits, cache.misses, cache.entries.size()};
+    std::size_t live = 0;
+    for (const auto& entry : cache.entries)
+        if (!entry.second.expired()) ++live;
+    return CompiledCacheStats{cache.hits, cache.misses, live};
 }
 
 void clear_compiled_program_cache() {
@@ -277,7 +281,7 @@ void CompiledClockedSim::step(std::size_t cycles) {
         engine_->begin_activity_window();
         const TimePs launch = edge + program_->clk_to_q;
         // Flop updates first, pending inputs second: the same seq order
-        // as BatchClockedSim::step, so every lane sees the same source
+        // as ClockedSim::step, so every lane sees the same source
         // events as its scalar run.
         engine_->sample_flops(enable_.data(), reset_.data(), launch);
         for (const PendingInput& input : pending_) {

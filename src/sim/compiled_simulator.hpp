@@ -1,46 +1,54 @@
-// Compiled-netlist replay backend: straight-line wide-lane simulation.
+// Compiled-netlist replay: the wide-lane simulation engine.
 //
-// The event engines (sim/simulator.hpp, sim/batch_simulator.hpp) pay for
-// generality on every event: a priority-queue sift per push/pop, pointer
-// chasing through Netlist::fanout(), and per-event DelayModel lookups.
-// All of that is *static* per (netlist, delay model): delays are fixed at
-// construction, so the set of possible event times -- and therefore the
-// whole scheduling structure -- is data-independent.  This backend
-// compiles that structure once into a flat CompiledProgram:
+// All wire and gate delays in the DelayModel are static and data
+// *independent* -- the very property the paper's gadgets are built on --
+// so the set of potential event times, and therefore the whole
+// scheduling structure, is identical across the traces of a campaign.
+// This engine exploits that twice:
 //
-//   * levelized settle order (creation order is topological for
-//     combinational cells, same order the batch engine uses);
-//   * per-cell gate delay / inertial window and a CSR fanout table with
-//     the wire delay baked into each edge;
-//   * the time-slot ring: because every push is bounded by
-//     max(wire) + gate + bump slack picoseconds past the current time,
-//     events live in a power-of-two ring of FIFO time buckets instead of
-//     a priority queue.  Each push/pop is O(1); FIFO order within a
-//     bucket *is* (time, seq) order, so replay is exactly the event
-//     engine's schedule without the heap.  A tiny overflow heap catches
+//   * bitslicing: every net and pin holds lane words (bit l = the value in
+//     trace l), gates re-evaluate with word-parallel Boolean ops, and one
+//     event is scheduled whenever *any* lane changes, so event traffic,
+//     pin bookkeeping and cell evaluations are amortized over 64..512
+//     traces per pass (LW<W> lane-word arrays, W = 1/2/4/8 chunks);
+//   * compilation: the structure is compiled once per (netlist, delay
+//     model, SimOptions) into a flat CompiledProgram -- levelized settle
+//     order, per-cell gate delay / inertial window, a CSR fanout table
+//     with the wire delay baked into each edge -- and events live in a
+//     power-of-two ring of FIFO time slots instead of a priority queue.
+//     Every push lands at most one wire hop, one gate delay plus bump
+//     slack, or clk-to-Q past the current time, so each push/pop is O(1)
+//     and FIFO order within a slot *is* (time, seq) order.  A tiny overflow heap catches
 //     pushes beyond the ring horizon (never hit by the clocked drivers;
 //     correctness never depends on the ring size).
 //
-// Lanes widen past 64 with LW<W> lane-word arrays (W = 1/2/4/8, up to
-// 512 traces per pass), amortizing the shared schedule bookkeeping over
-// 8x more traces.  Only the *data* widens: masks, pendings and SchedMark
-// groups carry LW<W> words, and the per-lane commit discipline (monotonic
-// bump marks, inertial cancellation, per-lane toggled masks) is ported
-// verbatim from BatchEventSimulator, so each lane's committed waveform is
-// bit-identical to a scalar EventSimulator run of that lane's stimulus
-// (tests/compiled_sim_test.cpp asserts `==` on the full gadget zoo and
-// DES).  Sinks attach per 64-lane chunk (BatchToggleSink + BatchWordView
-// per chunk), so BatchPowerRecorder / BatchAttributionProbe work
-// unchanged.
+// Equivalence contract: each lane's committed waveform is bit-identical
+// to a scalar EventSimulator run of that lane's stimulus, at every width
+// (tests/batch_sim_test.cpp at 64 lanes, tests/compiled_sim_test.cpp at
+// 128..512 lanes and on DES).  The mechanisms that could diverge per lane
+// are all carried as lane masks (sim/compiled_engine_impl.h owns them):
+//   * a schedule only covers the lanes whose evaluation actually changed;
+//   * the per-cell monotonic commit guard ("a later evaluation must not
+//     commit before an earlier one") is per lane: recent schedule times
+//     are kept as (time, lane-mask) marks and same-timestamp bursts split
+//     into per-`when` groups exactly as the scalar +1 bump does per lane;
+//   * inertial pulse filtering cancels pending commits per lane by
+//     clearing lane bits; a commit applies only to the surviving lanes.
+// Sinks attach per 64-lane chunk (BatchToggleSink + BatchWordView per
+// chunk), so BatchPowerRecorder / BatchAttributionProbe see one 64-lane
+// word at a time whatever the width.
 //
-// Programs are cached in a small process-wide LRU keyed by a structural
-// fingerprint of (cells, delays, SimOptions); campaign workers and blocks
-// share one immutable program (shared_ptr) instead of recompiling.
+// Programs are shared through a process-wide registry keyed by a
+// structural fingerprint of (cells, delays, SimOptions): the engines of a
+// campaign's workers share one immutable program (shared_ptr) instead of
+// recompiling, and a program dies with its last engine.
 //
-// Not supported (same rule as the batch engine): timing coupling makes
-// DelayBuf delays data-dependent, which breaks the shared-schedule
-// premise -- the constructor rejects it and eval/ falls back to the
-// scalar path.
+// Not supported: timing coupling (CouplingConfig::timing_enabled) makes
+// DelayBuf delays depend on a *neighbour's data*, which breaks the
+// shared-schedule premise -- the constructor rejects it and campaigns
+// fall back to the scalar EventSimulator (eval/ owns that policy).
+// Energy coupling is fine: it only reads committed lane values
+// (power/batch_power.hpp).
 #pragma once
 
 #include <cstdint>
@@ -48,13 +56,36 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/clocked.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/simulator.hpp"
 #include "support/telemetry.hpp"
 
 namespace glitchmask::sim {
+
+/// Lanes per chunk: one bit of a 64-bit lane word per trace.
+inline constexpr unsigned kBatchLanes = 64;
+
+/// All-lanes mask.
+inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+
+/// Observer for committed lane-word transitions of one 64-lane chunk.
+/// `values` is the full lane word after the commit; `toggled` marks the
+/// lanes that changed.
+class BatchToggleSink {
+public:
+    virtual ~BatchToggleSink() = default;
+    virtual void on_toggle(NetId net, TimePs time, std::uint64_t values,
+                           std::uint64_t toggled) = 0;
+};
+
+/// Read-only lane-word view of one chunk's committed net values -- the
+/// seam the energy-coupling power model taps (power/batch_power.hpp).
+class BatchWordView {
+public:
+    virtual ~BatchWordView() = default;
+    [[nodiscard]] virtual std::uint64_t word(NetId net) const noexcept = 0;
+};
 
 /// Widest supported lane word: 8 x 64 = 512 traces per pass.
 inline constexpr unsigned kMaxLaneChunks = 8;
@@ -86,7 +117,7 @@ struct CompiledProgram {
                                            // 1-2 pins, so packing nearly
                                            // halves the engine's pin array)
     std::vector<std::uint32_t> gate_ps;
-    std::vector<TimePs> inertial_window;   // same rounding as the event engines
+    std::vector<TimePs> inertial_window;   // same rounding as EventSimulator
     std::vector<std::uint8_t> settle_one;  // all-sources-low steady state
 
     std::vector<std::uint32_t> fanout_begin;  // CSR, n_cells + 1 entries
@@ -98,21 +129,22 @@ struct CompiledProgram {
     bool inertial_filtering = true;
 
     /// Time-slot ring size (power of two): covers the longest possible
-    /// push offset (wire + gate + clk-to-Q + bump slack), so in practice
-    /// every event lands in the ring.
+    /// push offset (the largest of wire, gate + bump slack and clk-to-Q),
+    /// so in practice every event lands in the ring.
     std::size_t ring_size = 0;
 };
 
-/// Compiles (or fetches from the process-wide LRU cache) the replay
-/// program for the triple.  Throws std::invalid_argument on an unfrozen
-/// netlist.
+/// Compiles the replay program for the triple, or shares the one a live
+/// engine already holds.  Programs are not kept past their last holder
+/// (compiling costs well under a millisecond even for the DES core).
+/// Throws std::invalid_argument on an unfrozen netlist.
 [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_netlist(
     const netlist::Netlist& nl, const DelayModel& dm, SimOptions options = {});
 
 struct CompiledCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::size_t entries = 0;
+    std::size_t entries = 0;  // programs alive right now
 };
 [[nodiscard]] CompiledCacheStats compiled_program_cache_stats();
 void clear_compiled_program_cache();
@@ -146,7 +178,7 @@ public:
     virtual void drive_all(NetId source, bool value, TimePs time) = 0;
 
     /// Samples all flops with the wire-delayed pin view (reset group
-    /// beats enable group, exactly like BatchClockedSim) and launches the
+    /// beats enable group, exactly like ClockedSim) and launches the
     /// changed Q lanes at `launch`.  `enable`/`reset` index ctrl groups.
     virtual void sample_flops(const std::uint8_t* enable,
                               const std::uint8_t* reset, TimePs launch) = 0;
@@ -162,9 +194,9 @@ public:
     [[nodiscard]] virtual TimePs now() const noexcept = 0;
     virtual void begin_activity_window() noexcept = 0;
 
-    /// Same per-lane accounting contract as BatchEventSimulator: toggle /
-    /// glitch / cancel sums match the scalar engine; events and
-    /// queue-peak measure the shared compiled schedule.
+    /// Per-lane accounting: toggle / glitch / cancel counts add up each
+    /// lane individually, so their campaign sums equal the scalar
+    /// engine's; events and queue peak measure the shared schedule.
     [[nodiscard]] virtual telemetry::SimStats stats() const noexcept = 0;
 };
 
@@ -172,9 +204,12 @@ public:
 [[nodiscard]] std::unique_ptr<CompiledEngineBase> make_compiled_engine(
     std::shared_ptr<const CompiledProgram> program, unsigned chunks);
 
-/// Cycle-level testbench driver around the compiled engine -- the wide
-/// counterpart of BatchClockedSim with the identical control API plus a
-/// chunk axis on the data path.  Lanes = 64 * chunks.
+/// Cycle-level testbench driver around the compiled engine -- the
+/// lane-word counterpart of ClockedSim with the identical control API
+/// (enable/reset groups, pending primary inputs applied after the edge,
+/// per-edge flop sampling through the wire-delayed pin view) plus a chunk
+/// axis on the data path.  Control flow is shared across lanes; only data
+/// is per lane.  Lanes = 64 * chunks.
 class CompiledClockedSim {
 public:
     /// `lanes` in {64, 128, 256, 512}.  Throws std::invalid_argument on

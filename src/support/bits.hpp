@@ -4,7 +4,6 @@
 // des/des_reference.cpp, not here.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -41,21 +40,6 @@ namespace glitchmask {
 /// intent ("count toggled lanes") reads at the call site.
 [[nodiscard]] constexpr int popcount64(std::uint64_t word) noexcept {
     return std::popcount(word);
-}
-
-/// In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3):
-/// afterwards bit `j` of `m[i]` equals bit `i` of the original `m[j]`.
-/// This is the lane transposition of bitsliced simulation -- 64 per-trace
-/// words (one value per trace) become 64 per-bit lane words and back.
-constexpr void transpose64(std::array<std::uint64_t, 64>& m) noexcept {
-    std::uint64_t mask = 0x00000000FFFFFFFFULL;
-    for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-        for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-            const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
-            m[k] ^= t << j;
-            m[k | j] ^= t;
-        }
-    }
 }
 
 /// Left-rotate the low `width` bits of `word` by `amount`.

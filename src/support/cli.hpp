@@ -8,8 +8,6 @@
 //                         equivalent to GLITCHMASK_ATTRIBUTION=1)
 //   --top-k <n>           culprit-table depth (implies nothing by itself;
 //                         only read when attribution is on)
-//   --backend <name>      simulation backend: event (default) or compiled
-//                         (equivalent to GLITCHMASK_BACKEND=name)
 // Parsing exits with usage on anything unrecognised, so binaries that take
 // no other arguments stay strict about typos.  Binaries with positional
 // operands (e.g. examples/inspect_gadget's gadget selector) pass
@@ -31,8 +29,6 @@ struct CliOptions {
     std::string report_path;
     bool attribute = false;
     std::size_t top_k = 10;
-    /// Simulation backend ("event"/"compiled"); empty = driver default.
-    std::string backend;
     /// Non-flag operands, in order (empty unless allow_positional).
     std::vector<std::string> positional;
 };
@@ -59,10 +55,6 @@ struct CliOptions {
             cli.top_k = static_cast<std::size_t>(std::atoll(argv[++i]));
         } else if (arg.rfind("--top-k=", 0) == 0) {
             cli.top_k = static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-        } else if (arg == "--backend" && i + 1 < argc) {
-            cli.backend = argv[++i];
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            cli.backend = arg.substr(10);
         } else if (allow_positional && (arg.empty() || arg[0] != '-')) {
             cli.positional.push_back(arg);
         } else {
@@ -70,7 +62,7 @@ struct CliOptions {
                 stderr,
                 "unknown option '%s'\n"
                 "usage: %s%s [--progress[=seconds]] [--report <path>]"
-                " [--attribute] [--top-k <n>] [--backend <event|compiled>]\n",
+                " [--attribute] [--top-k <n>]\n",
                 arg.c_str(), argv[0], allow_positional ? " [operand...]" : "");
             std::exit(2);
         }

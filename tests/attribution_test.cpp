@@ -36,6 +36,8 @@
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/cancel.hpp"
+#include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/snapshot.hpp"
 
 namespace glitchmask::eval {
@@ -542,6 +544,134 @@ TEST(AttributionProbe, CountsWindowsAndSaturatesAt255) {
     probe.fold_trace(/*fixed=*/false, acc);
     EXPECT_EQ(acc.traces_random, 1u);
     EXPECT_EQ(acc.point(w0).sum_random, 0.0);
+}
+
+TEST(AnalyzeAttribution, OneSidedPointsCountAndArgmaxIsFirstMaxWindow) {
+    // Net a toggles only in random-class traces, in windows 0 and 2 with
+    // identical statistics; window 1 and net b never toggle.  A point
+    // with no fixed-class toggles still has a t-statistic, a never-toggled
+    // point reads the 0.0 sentinel, and a tie keeps the first window.
+    core::Netlist nl;
+    const netlist::NetId a = nl.input("a");
+    const netlist::NetId b = nl.input("b");
+    nl.freeze();
+    const leakage::AttributionPlan plan(nl, /*windows=*/3, /*window_ps=*/100);
+    leakage::AttributionAccumulator acc(plan.points());
+    acc.traces_fixed = 4;
+    acc.traces_random = 4;
+    for (const std::size_t w : {std::size_t{0}, std::size_t{2}}) {
+        leakage::PointStats& p =
+            acc.point(plan.point_index(plan.probe_of(a), w));
+        p.sum_random = 4.0;  // per-trace counts 2, 1, 1, 0
+        p.sumsq_random = 6.0;
+        p.toggles = 4;
+        p.glitches = 1;
+    }
+    const leakage::AttributionResult result =
+        leakage::analyze_attribution(nl, plan, acc);
+    const double var_random = (6.0 - 4.0 * 1.0 * 1.0) / (4.0 - 1.0);
+    const double t = leakage::welch_t(0.0, 0.0, 4.0, 1.0, var_random, 4.0);
+    ASSERT_GT(std::abs(t), 0.0);
+    ASSERT_EQ(result.ranked.size(), 2u);
+    EXPECT_EQ(result.ranked[0].net, a);
+    EXPECT_EQ(result.ranked[0].max_abs_t, std::abs(t));
+    EXPECT_EQ(result.ranked[0].argmax_window, 0u);
+    EXPECT_EQ(result.t_at(0, 1), 0.0);
+    EXPECT_EQ(result.t_at(0, 2), std::abs(t));
+    EXPECT_EQ(result.glitches_at(0, 2), 1u);
+    EXPECT_EQ(result.ranked[0].glitches, 2u);
+    EXPECT_EQ(result.ranked[1].net, b);
+    EXPECT_EQ(result.ranked[1].max_abs_t, 0.0);
+}
+
+TEST(BatchAttributionProbe, BitPlaneCountsEqualPerLaneScalarProbes) {
+    // Three nets, three windows, a partial 61-lane group and two groups
+    // into one block: per-lane counts from 0 to past saturation (net `a`
+    // takes 300 all-lane toggles in window 1), so every plane, the
+    // counts <= 3 fast path and the 255 pin all run.  Reference: one
+    // scalar probe per live lane, folded in lane order.
+    core::Netlist nl;
+    const netlist::NetId nets[3] = {nl.input("a"), nl.input("b"),
+                                    nl.input("c")};
+    nl.freeze();
+    const leakage::AttributionPlan plan(nl, /*windows=*/3, /*window_ps=*/100);
+    struct Toggle {
+        netlist::NetId net;
+        sim::TimePs time;
+        std::uint64_t lanes;
+    };
+    Xoshiro256 rng(2024);
+    leakage::AttributionAccumulator batch_acc(plan.points());
+    leakage::AttributionAccumulator scalar_acc(plan.points());
+    leakage::BatchAttributionProbe batch(plan, /*next=*/nullptr);
+    leakage::AttributionProbe scalar(plan, /*next=*/nullptr);
+    for (const unsigned count : {61u, 64u}) {
+        std::vector<Toggle> stream;
+        for (sim::TimePs w = 0; w < 4; ++w) {  // window 3: dropped
+            for (int i = 0; i < 120; ++i) {
+                const std::uint64_t mask = rng() & rng();  // ~1/4 density
+                stream.push_back({nets[rng() % 3], w * 100 + i / 2,
+                                  mask == 0 ? 1u : mask});
+            }
+            if (w == 1)
+                for (int i = 0; i < 300; ++i)
+                    stream.push_back({nets[0], 170, ~std::uint64_t{0}});
+        }
+        const std::uint64_t fixed_mask = rng();
+        batch.begin_group(fixed_mask, count, batch_acc);
+        for (const Toggle& t : stream)
+            batch.on_toggle(t.net, t.time, t.lanes, t.lanes);
+        batch.fold_group();
+        for (unsigned lane = 0; lane < count; ++lane) {
+            scalar.begin_trace();
+            for (const Toggle& t : stream)
+                if ((t.lanes >> lane) & 1u)
+                    scalar.on_toggle(t.net, t.time, true);
+            scalar.fold_trace(((fixed_mask >> lane) & 1u) != 0, scalar_acc);
+        }
+    }
+    batch.spill_block();
+    const std::size_t heavy = plan.point_index(plan.probe_of(nets[0]), 1);
+    EXPECT_EQ(scalar_acc.point(heavy).toggles, 125u * 255u);  // saturated
+    EXPECT_EQ(batch_acc, scalar_acc);
+}
+
+TEST(BatchAttributionProbe, PlaneFoldKernelsAreBitIdentical) {
+#if defined(GLITCHMASK_HAVE_AVX2)
+    if (support::active_simd_level() < support::SimdLevel::kAvx2)
+        GTEST_SKIP() << "CPU/GLITCHMASK_SIMD level below AVX2";
+    constexpr std::size_t kNets = 150;
+    constexpr unsigned kPlanes = leakage::plane_kernels::kPlanes;
+    Xoshiro256 rng(7);
+    std::vector<std::uint64_t> planes(kNets * kPlanes);
+    std::vector<std::uint64_t> touched((kNets + 63) / 64);
+    for (std::size_t net = 0; net < kNets; ++net) {
+        // Top plane in use varies per net: 1..8 planes, so both the
+        // counts <= 3 path and the general path run.
+        const unsigned used = 1 + static_cast<unsigned>(rng() % kPlanes);
+        for (unsigned k = 0; k < used; ++k)
+            planes[net * kPlanes + k] = rng() & rng();
+        if (rng() % 4 != 0) touched[net / 64] |= std::uint64_t{1} << (net % 64);
+    }
+    const std::uint64_t fixed = rng() & ((std::uint64_t{1} << 50) - 1);
+    const std::uint64_t random = ~fixed & ((std::uint64_t{1} << 50) - 1);
+    auto planes_avx2 = planes;
+    auto touched_avx2 = touched;
+    std::vector<std::uint32_t> block(kNets * 5, 3u), block_avx2 = block;
+    leakage::plane_kernels::fold_planes_scalar(planes.data(), touched.data(),
+                                               touched.size(), fixed, random,
+                                               block.data());
+    leakage::plane_kernels::fold_planes_avx2(
+        planes_avx2.data(), touched_avx2.data(), touched_avx2.size(), fixed,
+        random, block_avx2.data());
+    EXPECT_EQ(block, block_avx2);
+    EXPECT_EQ(planes, planes_avx2);
+    EXPECT_EQ(touched, touched_avx2);
+    EXPECT_TRUE(std::all_of(touched.begin(), touched.end(),
+                            [](std::uint64_t w) { return w == 0; }));
+#else
+    GTEST_SKIP() << "built without AVX2 kernels";
+#endif
 }
 
 }  // namespace

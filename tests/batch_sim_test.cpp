@@ -1,26 +1,36 @@
-// Exact-equivalence harness for the bitsliced batch simulator: every
-// masked-AND gadget in the zoo runs 64 random-stimulus traces through the
-// scalar EventSimulator (one run per lane) and once through the 64-lane
-// BatchEventSimulator, and the per-lane committed toggle streams, power
-// traces, toggle counts and settle times must match bit-for-bit -- with
-// inertial filtering on and off, and with energy coupling on where the
-// gadget has coupled pairs.
+// Exact-equivalence harness for the lane engine at its default width:
+// every masked-AND gadget in the zoo runs 64 random-stimulus traces
+// through the scalar EventSimulator (one run per lane) and once through a
+// 64-lane (one chunk) compiled engine, and the per-lane committed toggle
+// streams, power traces, toggle counts and settle times must match
+// bit-for-bit -- with inertial filtering on and off, and with energy
+// coupling on where the gadget has coupled pairs.  The last cases pin the
+// engine's time-slot buckets: a restart with events still queued,
+// overflow-heap events migrating into a non-empty slot, and same-time
+// pushes during a slot drain.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/circuits.hpp"
 #include "core/gadgets.hpp"
+#include "des/masked_des.hpp"
 #include "eval/campaign.hpp"
+#include "eval/des_experiments.hpp"
+#include "eval/gadget_tvla.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/clocked.hpp"
+#include "sim/compiled_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace glitchmask {
 namespace {
@@ -51,7 +61,7 @@ private:
     sim::ToggleSink* next_;
 };
 
-/// Records the batch commit stream while forwarding to a batch recorder.
+/// Records one chunk's commit stream while forwarding to its recorder.
 class BatchTee final : public sim::BatchToggleSink {
 public:
     explicit BatchTee(sim::BatchToggleSink* next = nullptr) : next_(next) {}
@@ -247,18 +257,19 @@ void expect_clocked_equivalence(Kind kind, bool inertial, double epsilon) {
         scalar_toggles[lane] = recorder.trace_toggles();
     }
 
-    // One batch run.
-    sim::BatchClockedSim batch(h.nl, dm, clock, {}, options);
+    // One 64-lane compiled pass.
+    sim::CompiledClockedSim batch(h.nl, dm, sim::kBatchLanes, clock, {},
+                                  options);
     power::BatchPowerRecorder recorder(h.nl, power_config);
-    recorder.attach(&batch.engine());
+    recorder.attach(batch.chunk_view(0));
     BatchTee tee(&recorder);
-    batch.engine().set_sink(&tee);
+    batch.set_sink(0, &tee);
     recorder.begin_trace(kCycles);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         std::uint64_t word = 0;
         for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
             if (stim[lane][i]) word |= std::uint64_t{1} << lane;
-        batch.set_input_word(inputs[i], word);
+        batch.set_input_word(inputs[i], 0, word);
     }
     run_schedule(batch, has_stage2);
 
@@ -272,6 +283,21 @@ void expect_clocked_equivalence(Kind kind, bool inertial, double epsilon) {
         for (std::size_t bin = 0; bin < lane_trace.size(); ++bin)
             EXPECT_EQ(lane_trace[bin], scalar_trace[lane][bin]) << "bin " << bin;
     }
+}
+
+/// A raw one-chunk engine (drive / run API, no clock) for `nl`.
+std::unique_ptr<sim::CompiledEngineBase> raw_engine(
+    const core::Netlist& nl, const sim::DelayModel& dm,
+    sim::SimOptions options = {}) {
+    return sim::make_compiled_engine(sim::compile_netlist(nl, dm, options), 1);
+}
+
+std::uint64_t lane_word(const std::vector<std::vector<bool>>& wave,
+                        std::size_t i) {
+    std::uint64_t word = 0;
+    for (unsigned lane = 0; lane < wave.size(); ++lane)
+        if (wave[lane][i]) word |= std::uint64_t{1} << lane;
+    return word;
 }
 
 TEST(BatchSim, ZooEquivalenceInertial) {
@@ -326,27 +352,23 @@ TEST(BatchSim, CombinationalQuiescenceEquivalence) {
                 finals[lane].push_back(engine.value(net));
         }
 
-        sim::BatchEventSimulator batch(h.nl, dm);
+        const auto batch = raw_engine(h.nl, dm);
         BatchTee tee;
-        batch.set_sink(&tee);
-        auto word_of = [&](const std::vector<std::vector<bool>>& wave,
-                           std::size_t i) {
-            std::uint64_t word = 0;
-            for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
-                if (wave[lane][i]) word |= std::uint64_t{1} << lane;
-            return word;
-        };
+        batch->set_sink(0, &tee);
         for (std::size_t i = 0; i < inputs.size(); ++i)
-            batch.drive(inputs[i], word_of(wave1, i), sim::kAllLanes, 0);
+            batch->drive_chunk(inputs[i], 0, lane_word(wave1, i),
+                               sim::kAllLanes, 0);
         for (std::size_t i = 0; i < inputs.size(); ++i)
-            batch.drive(inputs[i], word_of(wave2, i), sim::kAllLanes, kWave2);
-        EXPECT_EQ(batch.run_to_quiescence(), max_settle);
+            batch->drive_chunk(inputs[i], 0, lane_word(wave2, i),
+                               sim::kAllLanes, kWave2);
+        EXPECT_EQ(batch->run_to_quiescence(), max_settle);
 
         for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
             SCOPED_TRACE("lane " + std::to_string(lane));
             EXPECT_EQ(tee.lane(lane), scalar_stream[lane]);
             for (NetId net = 0; net < h.nl.size(); ++net)
-                ASSERT_EQ(batch.value(net, lane), finals[lane][net])
+                ASSERT_EQ(((batch->word(net, 0) >> lane) & 1u) != 0,
+                          finals[lane][net])
                     << "net " << net;
         }
     }
@@ -383,17 +405,17 @@ TEST(BatchSim, PerLanePulseCancellationEquivalence) {
             scalar_stream[lane] = std::move(tee.records);
         }
 
-        sim::BatchEventSimulator batch(h.nl, dm, {},
-                                       sim::SimOptions{inertial, 1.0});
+        const auto batch =
+            raw_engine(h.nl, dm, sim::SimOptions{inertial, 1.0});
         BatchTee tee;
-        batch.set_sink(&tee);
+        batch->set_sink(0, &tee);
         for (const NetId input : inputs)
-            batch.drive(input, sim::kAllLanes, sim::kAllLanes, 0);
+            batch->drive_chunk(input, 0, sim::kAllLanes, sim::kAllLanes, 0);
         for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
             for (const NetId input : inputs)
-                batch.drive(input, 0, std::uint64_t{1} << lane,
-                            fall_time(lane));
-        batch.run_to_quiescence();
+                batch->drive_chunk(input, 0, 0, std::uint64_t{1} << lane,
+                                   fall_time(lane));
+        batch->run_to_quiescence();
 
         std::size_t total = 0;
         for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
@@ -412,9 +434,8 @@ TEST(BatchSim, RejectsTimingCoupling) {
     const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
     sim::CouplingConfig coupling;
     coupling.timing_enabled = true;
-    EXPECT_THROW(sim::BatchEventSimulator(h.nl, dm, coupling),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::BatchClockedSim(h.nl, dm, {}, coupling),
+    EXPECT_THROW(sim::CompiledClockedSim(h.nl, dm, sim::kBatchLanes, {},
+                                         coupling),
                  std::invalid_argument);
 }
 
@@ -422,22 +443,202 @@ TEST(BatchSim, BroadcastInputMatchesScalarFsm) {
     // set_input(bool) must behave as the same control bit in every lane.
     Harness h = build(Kind::Ff, 1);
     const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
-    sim::BatchClockedSim batch(h.nl, dm, sim::ClockConfig{kPeriod});
+    sim::CompiledClockedSim batch(h.nl, dm, sim::kBatchLanes,
+                                  sim::ClockConfig{kPeriod});
     batch.set_input(h.x_in.s0, true);
     batch.step();
     batch.step();
-    EXPECT_EQ(batch.word(h.x_in.s0), sim::kAllLanes);
+    EXPECT_EQ(batch.word(h.x_in.s0, 0), sim::kAllLanes);
     batch.set_input(h.x_in.s0, false);
     batch.step();
     batch.step();
-    EXPECT_EQ(batch.word(h.x_in.s0), 0u);
+    EXPECT_EQ(batch.word(h.x_in.s0, 0), 0u);
+}
+
+// ----- time-slot buckets ---------------------------------------------------
+
+/// Per-lane random two-wave stimulus for the raw-engine bucket cases.
+struct Waves {
+    std::vector<std::vector<bool>> first, second;
+};
+
+Waves random_waves(std::size_t inputs, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    Waves w{std::vector<std::vector<bool>>(sim::kBatchLanes),
+            std::vector<std::vector<bool>>(sim::kBatchLanes)};
+    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
+        for (std::size_t i = 0; i < inputs; ++i) {
+            w.first[lane].push_back(rng.bit());
+            w.second[lane].push_back(rng.bit());
+        }
+    return w;
+}
+
+/// One scalar run per lane of the two-wave schedule: wave 1 at 0, wave 2
+/// at `t2`, settle.  Returns the per-lane commit streams.
+std::vector<std::vector<ToggleRec>> scalar_waves(const Harness& h,
+                                                 const sim::DelayModel& dm,
+                                                 const Waves& w, TimePs t2) {
+    const std::vector<NetId> inputs = all_inputs(h);
+    std::vector<std::vector<ToggleRec>> out(sim::kBatchLanes);
+    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+        sim::EventSimulator engine(h.nl, dm);
+        ScalarTee tee;
+        engine.set_sink(&tee);
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            engine.drive(inputs[i], w.first[lane][i], 0);
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            engine.drive(inputs[i], w.second[lane][i], t2);
+        engine.run_to_quiescence();
+        out[lane] = std::move(tee.records);
+    }
+    return out;
+}
+
+TEST(BatchSim, RestartWithPendingEventsMatchesFreshEngine) {
+    // initialize() must drop every queued event -- ring slots and the
+    // overflow heap -- and leave the engine exactly as fresh, even though
+    // it skips the ring sweep when nothing is queued.
+    Harness h = build_comb(Kind::Trichina, 2);
+    const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
+    const std::vector<NetId> inputs = all_inputs(h);
+    const auto engine = raw_engine(h.nl, dm);
+    const TimePs horizon = sim::compile_netlist(h.nl, dm)->ring_size;
+    constexpr TimePs kWave2 = 20000;
+    const Waves w = random_waves(inputs.size(), 5);
+
+    // Queue a wave in the ring and one past the horizon, replay only the
+    // first few hundred picoseconds, then restart with both still queued.
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        engine->drive_chunk(inputs[i], 0, sim::kAllLanes, sim::kAllLanes, 0);
+        engine->drive_chunk(inputs[i], 0, 0, sim::kAllLanes, 3 * horizon);
+    }
+    engine->run_until(300);
+    engine->initialize();
+    EXPECT_EQ(engine->now(), 0u);
+    const auto fresh = raw_engine(h.nl, dm);
+    for (NetId net = 0; net < h.nl.size(); ++net)
+        ASSERT_EQ(engine->word(net, 0), fresh->word(net, 0)) << "net " << net;
+
+    // Run the restart twice: the second restart finds an empty queue.
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        if (round > 0) engine->initialize();
+        BatchTee tee;
+        engine->set_sink(0, &tee);
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            engine->drive_chunk(inputs[i], 0, lane_word(w.first, i),
+                                sim::kAllLanes, 0);
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            engine->drive_chunk(inputs[i], 0, lane_word(w.second, i),
+                                sim::kAllLanes, kWave2);
+        engine->run_to_quiescence();
+        engine->set_sink(0, nullptr);
+
+        const auto scalar = scalar_waves(h, dm, w, kWave2);
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
+            ASSERT_EQ(tee.lane(lane), scalar[lane]) << "lane " << lane;
+    }
+}
+
+TEST(BatchSim, OverflowEventsMigrateInSeqOrder) {
+    // Two drives per input far past the ring horizon wait in the overflow
+    // heap; after time advances, later same-time drives land in the ring
+    // slot directly.  Migration must splice the heap events in ahead of
+    // them (and after each other) in seq order, exactly the scalar
+    // engine's (time, seq) order -- otherwise the final values flip.
+    Harness h = build_comb(Kind::Naive, 2);
+    const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
+    const std::vector<NetId> inputs = all_inputs(h);
+    const TimePs t = 5 * sim::compile_netlist(h.nl, dm)->ring_size + 17;
+    const std::uint64_t a = 0x00FF00FF00FF00FFull;
+    const std::uint64_t b = 0x0F0F0F0F0F0F0F0Full;
+    const std::uint64_t c = 0x3333333333333333ull;
+
+    std::vector<std::vector<ToggleRec>> scalar(sim::kBatchLanes);
+    std::vector<std::vector<bool>> finals(sim::kBatchLanes);
+    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+        const auto bit = [lane](std::uint64_t word) {
+            return ((word >> lane) & 1u) != 0;
+        };
+        sim::EventSimulator engine(h.nl, dm);
+        ScalarTee tee;
+        engine.set_sink(&tee);
+        for (const NetId input : inputs) {
+            engine.drive(input, bit(a), t);
+            engine.drive(input, bit(b), t);
+        }
+        engine.run_until(t - 5);
+        for (const NetId input : inputs) engine.drive(input, bit(c), t);
+        engine.run_to_quiescence();
+        scalar[lane] = std::move(tee.records);
+        for (NetId net = 0; net < h.nl.size(); ++net)
+            finals[lane].push_back(engine.value(net));
+    }
+
+    const auto engine = raw_engine(h.nl, dm);
+    BatchTee tee;
+    engine->set_sink(0, &tee);
+    for (const NetId input : inputs) {
+        engine->drive_chunk(input, 0, a, sim::kAllLanes, t);
+        engine->drive_chunk(input, 0, b, sim::kAllLanes, t);
+    }
+    engine->run_until(t - 5);
+    for (const NetId input : inputs)
+        engine->drive_chunk(input, 0, c, sim::kAllLanes, t);
+    engine->run_to_quiescence();
+
+    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        EXPECT_EQ(tee.lane(lane), scalar[lane]);
+        for (NetId net = 0; net < h.nl.size(); ++net)
+            ASSERT_EQ(((engine->word(net, 0) >> lane) & 1u) != 0,
+                      finals[lane][net])
+                << "net " << net;
+    }
+    // Every input ends on the ring drive, not on a migrated one.
+    for (const NetId input : inputs) EXPECT_EQ(engine->word(input, 0), c);
+}
+
+TEST(BatchSim, SameTimePushesDuringDrainMatchScalar) {
+    // Zero wire delay: every commit pushes its fanout pin events into the
+    // slot being drained, and the monotonic +1 bumps chain further
+    // events right behind it.  The drain must pick them up in the same
+    // pass, in seq order.
+    Harness h = build_comb(Kind::Pd, 2);
+    sim::DelayConfig config = sim::DelayConfig::spartan6();
+    config.wire_min_ps = 0;
+    config.wire_max_ps = 0;
+    const sim::DelayModel dm(h.nl, config);
+    const std::vector<NetId> inputs = all_inputs(h);
+    constexpr TimePs kWave2 = 15000;
+    const Waves w = random_waves(inputs.size(), 11);
+    const auto scalar = scalar_waves(h, dm, w, kWave2);
+
+    const auto engine = raw_engine(h.nl, dm);
+    BatchTee tee;
+    engine->set_sink(0, &tee);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        engine->drive_chunk(inputs[i], 0, lane_word(w.first, i),
+                            sim::kAllLanes, 0);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        engine->drive_chunk(inputs[i], 0, lane_word(w.second, i),
+                            sim::kAllLanes, kWave2);
+    engine->run_to_quiescence();
+
+    std::size_t toggles = 0;
+    for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+        EXPECT_EQ(tee.lane(lane), scalar[lane]) << "lane " << lane;
+        toggles += scalar[lane].size();
+    }
+    EXPECT_GT(toggles, 0u);  // not vacuous
 }
 
 TEST(BatchSim, SequenceCampaignBitIdentical) {
     // Golden-campaign criterion: the full TVLA statistics of a sequence
     // experiment must be bit-identical (exact double equality) between the
-    // scalar and the 64-lane path, including a partial final lane group
-    // (200 % 64 != 0) and a multi-worker pool.
+    // scalar and the 64-lane compiled path, including a partial final
+    // lane group (200 % 64 != 0) and a multi-worker pool.
     eval::SequenceExperimentConfig config;
     config.replicas = 4;
     config.traces = 200;
@@ -460,6 +661,63 @@ TEST(BatchSim, SequenceCampaignBitIdentical) {
     EXPECT_EQ(scalar.argmax_cycle, batch.argmax_cycle);
     EXPECT_EQ(scalar.leaks_first_order, batch.leaks_first_order);
     EXPECT_GT(scalar.max_abs_t1, 0.0);  // not vacuous
+}
+
+TEST(BatchSim, DefaultCampaignsRunTheLaneEngine) {
+    // lanes = 0 must select the lane engine in every driver, not just
+    // resolve to 64: the results cannot tell (both paths give the same
+    // bits), but the simulator's event count can -- one lane pass
+    // schedules the union of its traces' events, far fewer than the
+    // scalar path's per-trace sum.
+    if (std::getenv("GLITCHMASK_LANES") != nullptr)
+        GTEST_SKIP() << "GLITCHMASK_LANES overrides the default width";
+    const telemetry::ScopedTelemetryEnable telemetry_on;
+    const auto events = [](const std::function<void(unsigned)>& run,
+                           unsigned lanes) {
+        const telemetry::Snapshot before = telemetry::snapshot();
+        run(lanes);
+        return telemetry::snapshot().delta_since(before).value(
+            telemetry::Counter::kSimEvents);
+    };
+    const auto expect_lane_default = [&](const char* driver,
+                                         const std::function<void(unsigned)>&
+                                             run) {
+        SCOPED_TRACE(driver);
+        const std::uint64_t lane = events(run, 0);
+        const std::uint64_t scalar = events(run, 1);
+        EXPECT_GT(lane, 0u);
+        EXPECT_LT(lane, scalar);
+    };
+
+    expect_lane_default("sequence_tvla", [](unsigned lanes) {
+        eval::SequenceExperimentConfig config;
+        config.replicas = 2;
+        config.traces = 16;
+        config.workers = 1;
+        config.lanes = lanes;
+        (void)eval::run_sequence_experiment(
+            core::all_input_sequences().front(), config);
+    });
+    expect_lane_default("gadget_tvla", [](unsigned lanes) {
+        eval::GadgetTvlaConfig config;
+        config.replicas = 2;
+        config.traces = 16;
+        config.workers = 1;
+        config.lanes = lanes;
+        (void)eval::run_gadget_tvla(config);
+    });
+    const des::MaskedDesCore core(des::MaskedDesOptions{});
+    expect_lane_default("des_tvla", [&core](unsigned lanes) {
+        eval::DesTvlaConfig config;
+        config.traces = 4;
+        config.workers = 1;
+        config.lanes = lanes;
+        (void)eval::run_des_tvla(core, config);
+    });
+    expect_lane_default("mean_power", [&core](unsigned lanes) {
+        (void)eval::mean_power_trace(core, 4, /*seed=*/1, /*placement_seed=*/1,
+                                     /*workers=*/1, lanes);
+    });
 }
 
 }  // namespace

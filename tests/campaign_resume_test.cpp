@@ -19,12 +19,17 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "des/masked_des.hpp"
 #include "eval/campaign.hpp"
 #include "eval/des_experiments.hpp"
+#include "eval/gadget_tvla.hpp"
+#include "eval/lane_backend.hpp"
+#include "eval/run_report.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/cancel.hpp"
@@ -187,22 +192,16 @@ TEST(CampaignResume, SigintViaScopedSignalCancelStopsGracefully) {
 }
 
 TEST(CampaignResume, ResumeAcrossLaneConfigsIsBitIdentical) {
-    // A snapshot written by the scalar engine must seed the bitsliced one
+    // A snapshot written by the scalar engine must seed the 64-lane one
     // (and vice versa): lanes are absent from the fingerprint because the
-    // two paths are proven bit-identical.  The backend is pinned: this
-    // test is about the event engine's lane axis, and must not flip to
-    // the compiled backend (a fingerprint change by design) when the
-    // suite runs under GLITCHMASK_BACKEND=compiled.
+    // two paths are proven bit-identical.
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::string path = temp_snapshot("lanes.gmsnap");
 
-    DesTvlaConfig plain = small_campaign("");
-    plain.run.backend = "event";
-    const DesTvlaResult baseline = run_des_tvla(core, plain);
+    const DesTvlaResult baseline = run_des_tvla(core, small_campaign(""));
 
     CancelToken token;
     DesTvlaConfig scalar_cfg = small_campaign(path);
-    scalar_cfg.run.backend = "event";
     scalar_cfg.lanes = 1;
     scalar_cfg.run.cancel = &token;
     scalar_cfg.run.on_checkpoint = [&token](std::size_t completed_blocks) {
@@ -211,12 +210,11 @@ TEST(CampaignResume, ResumeAcrossLaneConfigsIsBitIdentical) {
     const DesTvlaResult partial = run_des_tvla(core, scalar_cfg);
     ASSERT_TRUE(partial.cancelled);
 
-    DesTvlaConfig batch_resume = small_campaign(path);
-    batch_resume.run.backend = "event";
-    batch_resume.lanes = 64;
-    const DesTvlaResult resumed = run_des_tvla(core, batch_resume);
+    DesTvlaConfig lane_resume = small_campaign(path);
+    lane_resume.lanes = 64;
+    const DesTvlaResult resumed = run_des_tvla(core, lane_resume);
     EXPECT_TRUE(resumed.resumed);
-    expect_identical(baseline, resumed, "scalar snapshot, bitsliced resume");
+    expect_identical(baseline, resumed, "scalar snapshot, 64-lane resume");
     std::remove(path.c_str());
 }
 
@@ -406,6 +404,86 @@ TEST(CampaignValidation, RejectsDegenerateConfigsNamingTheField) {
     EXPECT_NO_THROW(validate_campaign_config(10, 64, 0));
     EXPECT_NO_THROW(validate_campaign_config(10, 64, 1));
     EXPECT_NO_THROW(validate_campaign_config(10, 64, 64));
+    EXPECT_NO_THROW(validate_campaign_config(10, 64, 512));
+    EXPECT_THROW(validate_campaign_config(10, 64, 1024), std::invalid_argument);
+}
+
+TEST(CampaignResume, LanePlanDefaultsToOneChunk) {
+    if (std::getenv("GLITCHMASK_LANES") != nullptr)
+        GTEST_SKIP() << "GLITCHMASK_LANES overrides the default width";
+    // lanes = 0 is one 64-lane chunk -- the width the drivers run, which
+    // an out-of-driver replay of the same request must also resolve to.
+    EXPECT_EQ(resolve_lanes(0, /*timing_coupling=*/false), 64u);
+    const BackendPlan plan =
+        resolve_backend_plan({}, 0, /*timing_coupling=*/false, 3802);
+    EXPECT_EQ(plan.lanes, 64u);
+    EXPECT_EQ(plan.backend, SimBackend::Compiled);
+    const BackendPlan scalar = resolve_backend_plan({}, 1, false);
+    EXPECT_TRUE(scalar.scalar());
+    EXPECT_EQ(scalar.backend, SimBackend::Scalar);
+    // Data-dependent delays cannot share a lane schedule.
+    EXPECT_EQ(resolve_lanes(512, /*timing_coupling=*/true), 1u);
+    EXPECT_THROW((void)resolve_lanes(32, false), std::invalid_argument);
+}
+
+TEST(CampaignResume, DefaultFingerprintsArePinned) {
+    // The identity a default-config run writes into its checkpoints (and
+    // the daemon into its spool) must never drift: these literals are the
+    // fingerprints the drivers wrote before the lane engine became the
+    // compiled one, so every older snapshot still resumes.  Changing one
+    // strands every checkpoint written under it.
+    struct Pin {
+        const char* campaign;
+        std::uint64_t kind;
+        std::uint64_t payload;
+    };
+    const auto expect_pinned = [](const std::string& report_path,
+                                  const Pin& pin) {
+        SCOPED_TRACE(pin.campaign);
+        const std::optional<RunReport> report = read_run_report(report_path);
+        ASSERT_TRUE(report.has_value());
+        EXPECT_EQ(report->fingerprint.kind, pin.kind);
+        EXPECT_EQ(report->fingerprint.seed, 1u);
+        EXPECT_EQ(report->fingerprint.traces, 64u);
+        EXPECT_EQ(report->fingerprint.block_size, 64u);
+        EXPECT_EQ(report->fingerprint.payload, pin.payload);
+        std::remove(report_path.c_str());
+    };
+    const std::string dir = ::testing::TempDir() + "glitchmask_pin_";
+
+    SequenceExperimentConfig seq;
+    seq.traces = 64;
+    seq.workers = 1;
+    seq.run.report_path = dir + "seq.report.json";
+    (void)run_sequence_experiment(core::all_input_sequences().front(), seq);
+    expect_pinned(seq.run.report_path,
+                  {"sequence_tvla", 0xcc8b7bfdf19b7978ull,
+                   0x0c61d2bd55aa2f0dull});
+
+    GadgetTvlaConfig gadget;
+    gadget.traces = 64;
+    gadget.workers = 1;
+    gadget.run.report_path = dir + "gadget.report.json";
+    (void)run_gadget_tvla(gadget);
+    expect_pinned(gadget.run.report_path,
+                  {"gadget_tvla", 0xbe991b8f54cebb1full,
+                   0xe841c2b4f59c2d5eull});
+
+    const des::MaskedDesCore core(des::MaskedDesOptions{});
+    DesTvlaConfig des;
+    des.traces = 64;
+    des.workers = 1;
+    des.run.report_path = dir + "des.report.json";
+    (void)run_des_tvla(core, des);
+    expect_pinned(des.run.report_path,
+                  {"des_tvla", 0x24fbf3947386f3b1ull, 0x1fce5162ef9c1fe2ull});
+
+    CampaignRunOptions mean;
+    mean.report_path = dir + "mean.report.json";
+    (void)mean_power_trace(core, 64, /*seed=*/1, /*placement_seed=*/1,
+                           /*workers=*/1, /*lanes=*/0, mean);
+    expect_pinned(mean.report_path,
+                  {"mean_power", 0x801d8eb867bf54d2ull, 0x272222ac65b77c75ull});
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Exact-equivalence harness for the compiled-netlist replay backend.
+// Exact-equivalence harness for the compiled lane engine past one chunk.
 //
 // The contract is the same as batch_sim_test.cpp's, one level wider: every
 // lane of a CompiledClockedSim pass (here 128 lanes = 2 chunks, so the
@@ -7,14 +7,16 @@
 // that lane's stimulus -- with inertial filtering on and off, and with
 // energy coupling on where the gadget has coupled pairs.  On top of the
 // engine-level checks, the campaign drivers must be bit-identical across
-// backend={event,compiled} (TVLA t-curves, attribution rankings), a
-// checkpoint written under one backend must refuse to resume under the
-// other, and the process-wide program cache must actually share programs.
+// lane widths (TVLA t-curves, attribution rankings), a checkpoint must
+// resume bit-identically across scalar <-> 64 <-> 512 lanes, and the
+// process-wide program cache must actually share programs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/circuits.hpp"
@@ -24,12 +26,10 @@
 #include "eval/gadget_tvla.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
-#include "sim/batch_simulator.hpp"
 #include "sim/clocked.hpp"
 #include "sim/compiled_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "support/atomic_file.hpp"
-#include "support/campaign_error.hpp"
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
 
@@ -268,7 +268,7 @@ TEST(CompiledSim, GadgetCampaignWithAttributionBitIdentical) {
     // Driver-level identity on the attribution engine's primary workload:
     // the full TVLA statistics AND the per-net attribution report (ranked
     // nets, |t| heatmap, glitch matrix -- compared with operator==, i.e.
-    // exact doubles) must not depend on the backend or the lane width.
+    // exact doubles) must not depend on the lane width.
     eval::GadgetTvlaConfig config;
     config.gadget = eval::GadgetKind::Trichina;
     config.replicas = 8;
@@ -280,18 +280,16 @@ TEST(CompiledSim, GadgetCampaignWithAttributionBitIdentical) {
     config.run.attribution = true;
 
     config.lanes = 64;
-    config.run.backend = "event";
-    const eval::GadgetTvlaResult event = eval::run_gadget_tvla(config);
+    const eval::GadgetTvlaResult narrow = eval::run_gadget_tvla(config);
 
     config.lanes = 256;
-    config.run.backend = "compiled";
     const eval::GadgetTvlaResult compiled = eval::run_gadget_tvla(config);
 
-    EXPECT_EQ(event.max_abs_t1, compiled.max_abs_t1);
-    EXPECT_EQ(event.max_abs_t2, compiled.max_abs_t2);
-    EXPECT_EQ(event.argmax_cycle, compiled.argmax_cycle);
-    EXPECT_EQ(event.leaks_first_order, compiled.leaks_first_order);
-    EXPECT_EQ(event.attribution, compiled.attribution);
+    EXPECT_EQ(narrow.max_abs_t1, compiled.max_abs_t1);
+    EXPECT_EQ(narrow.max_abs_t2, compiled.max_abs_t2);
+    EXPECT_EQ(narrow.argmax_cycle, compiled.argmax_cycle);
+    EXPECT_EQ(narrow.leaks_first_order, compiled.leaks_first_order);
+    EXPECT_EQ(narrow.attribution, compiled.attribution);
     ASSERT_TRUE(compiled.attribution.enabled);
     ASSERT_FALSE(compiled.attribution.ranked.empty());
     EXPECT_GT(compiled.attribution.ranked.front().max_abs_t, 0.0);  // not vacuous
@@ -299,7 +297,7 @@ TEST(CompiledSim, GadgetCampaignWithAttributionBitIdentical) {
 
 TEST(CompiledSim, DesTvlaMatchesScalarBitForBit) {
     // The headline workload: a (small) DES TVLA campaign through the
-    // compiled backend against the scalar event path, exact t-curve
+    // compiled lane engine against the scalar event path, exact t-curve
     // equality at every order -- including a partial final group
     // (96 % 512 != 0, so the wide pass runs with dead lanes masked).
     const des::MaskedDesCore core(des::MaskedDesOptions{});
@@ -310,11 +308,9 @@ TEST(CompiledSim, DesTvlaMatchesScalarBitForBit) {
     config.block_size = 48;
 
     config.lanes = 1;
-    config.run.backend = "event";
     const eval::DesTvlaResult scalar = eval::run_des_tvla(core, config);
 
     config.lanes = 512;
-    config.run.backend = "compiled";
     const eval::DesTvlaResult compiled = eval::run_des_tvla(core, config);
 
     EXPECT_EQ(scalar.toggles, compiled.toggles);
@@ -327,70 +323,69 @@ TEST(CompiledSim, DesTvlaMatchesScalarBitForBit) {
     }
 }
 
-TEST(CompiledSim, BackendSwitchOnResumeIsConfigMismatch) {
-    // The compiled backend folds a tag into the campaign fingerprint, so
-    // a checkpoint written under one backend must refuse to resume under
-    // the other instead of silently mixing payload layouts.
+TEST(CompiledSim, ResumeAcrossLaneWidthsIsBitIdentical) {
+    // Lane width is not part of the campaign fingerprint: a checkpoint
+    // written on the scalar path resumes on 64 lanes, a 64-lane one on
+    // 512, and a 512-lane one back on the scalar path -- each finishing
+    // with exactly the statistics of an uninterrupted run.
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::string path =
-        ::testing::TempDir() + "glitchmask_backend_switch.gmsnap";
-    std::remove(path.c_str());
+        ::testing::TempDir() + "glitchmask_lane_resume.gmsnap";
 
-    auto base_config = [&path] {
+    auto base_config = [&path](unsigned lanes) {
         eval::DesTvlaConfig config;
         config.traces = 96;
         config.seed = 23;
-        config.block_size = 8;
-        config.lanes = 0;
+        config.block_size = 32;
+        config.lanes = lanes;
         config.workers = 1;
         config.run.checkpoint_path = path;
-        config.run.checkpoint_every = 2;
+        config.run.checkpoint_every = 1;
         return config;
     };
 
+    std::remove(path.c_str());
+    eval::DesTvlaConfig plain = base_config(64);
+    plain.run.checkpoint_path.clear();
+    const eval::DesTvlaResult reference = eval::run_des_tvla(core, plain);
+
     for (const auto& [first, second] :
-         {std::pair<const char*, const char*>{"event", "compiled"},
-          std::pair<const char*, const char*>{"compiled", "event"}}) {
-        SCOPED_TRACE(std::string(first) + " -> " + second);
-        const bool first_compiled = std::string_view(first) == "compiled";
+         {std::pair<unsigned, unsigned>{1, 64}, {64, 512}, {512, 1}}) {
+        SCOPED_TRACE(std::to_string(first) + " -> " +
+                     std::to_string(second) + " lanes");
         std::remove(path.c_str());
         CancelToken token;
-        eval::DesTvlaConfig cfg = base_config();
-        cfg.run.backend = first;
-        cfg.lanes = first_compiled ? 128 : 0;
+        eval::DesTvlaConfig cfg = base_config(first);
         cfg.run.cancel = &token;
         cfg.run.on_checkpoint = [&token](std::size_t completed_blocks) {
-            if (completed_blocks >= 2) token.request();
+            if (completed_blocks >= 1) token.request();
         };
         const eval::DesTvlaResult partial = eval::run_des_tvla(core, cfg);
         ASSERT_TRUE(partial.cancelled);
+        ASSERT_LT(partial.completed_traces, cfg.traces);
         ASSERT_TRUE(read_file_if_exists(path).has_value());
 
-        eval::DesTvlaConfig other = base_config();
-        other.run.backend = second;
-        try {
-            (void)eval::run_des_tvla(core, other);
-            FAIL() << "backend switch accepted on resume";
-        } catch (const CampaignError& e) {
-            EXPECT_EQ(e.kind(), CampaignErrorKind::ConfigMismatch);
-        }
-
-        // Same backend resumes fine and completes the campaign -- at a
-        // different lane width, which is never part of the fingerprint.
-        eval::DesTvlaConfig same = base_config();
-        same.run.backend = first;
-        same.lanes = first_compiled ? 512 : 0;
-        const eval::DesTvlaResult resumed = eval::run_des_tvla(core, same);
+        const eval::DesTvlaResult resumed =
+            eval::run_des_tvla(core, base_config(second));
         EXPECT_TRUE(resumed.resumed);
-        EXPECT_EQ(resumed.completed_traces, same.traces);
+        EXPECT_EQ(resumed.completed_traces, cfg.traces);
+        EXPECT_EQ(resumed.toggles, reference.toggles);
+        for (int order = 1; order <= 3; ++order) {
+            const std::vector<double> tr = reference.campaign.t_curve(order);
+            const std::vector<double> tc = resumed.campaign.t_curve(order);
+            ASSERT_EQ(tr.size(), tc.size());
+            for (std::size_t i = 0; i < tr.size(); ++i)
+                ASSERT_EQ(tr[i], tc[i]) << "order " << order << " sample " << i;
+        }
     }
     std::remove(path.c_str());
 }
 
 TEST(CompiledSim, ProgramCacheSharesCompiledPrograms) {
     // Two engines over the same (netlist, delay model, options) triple
-    // must share one immutable program through the process-wide LRU; a
-    // different SimOptions compiles (and caches) a distinct program.
+    // must share one immutable program through the process-wide registry;
+    // a different SimOptions compiles a distinct program, and a program
+    // dies with its last engine.
     Harness h = build(eval::GadgetKind::Trichina, 4);
     const sim::DelayModel dm(h.nl, sim::DelayConfig::spartan6());
     const sim::ClockConfig clock{kPeriod};
@@ -411,6 +406,16 @@ TEST(CompiledSim, ProgramCacheSharesCompiledPrograms) {
     EXPECT_EQ(after.entries, 2u);
     EXPECT_EQ(after.misses, before.misses + 2);
     EXPECT_GE(after.hits, before.hits + 1);
+
+    std::weak_ptr<const sim::CompiledProgram> gone;
+    {
+        sim::CompiledClockedSim d(h.nl, dm, 64, clock, {},
+                                  sim::SimOptions{true, 0.5});
+        gone = d.program();
+        EXPECT_EQ(sim::compiled_program_cache_stats().entries, 3u);
+    }
+    EXPECT_TRUE(gone.expired());
+    EXPECT_EQ(sim::compiled_program_cache_stats().entries, 2u);
 }
 
 }  // namespace

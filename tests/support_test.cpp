@@ -125,31 +125,6 @@ TEST(Bits, Popcount64) {
     }
 }
 
-TEST(Bits, Transpose64MatchesDefinition) {
-    Xoshiro256 rng(32);
-    std::array<std::uint64_t, 64> m{};
-    for (auto& row : m) row = rng();
-    const std::array<std::uint64_t, 64> original = m;
-    transpose64(m);
-    // Bit j of m[i] equals bit i of the original m[j] -- trace l's value
-    // for net i lands in lane bit l of word i.
-    for (unsigned i = 0; i < 64; ++i)
-        for (unsigned j = 0; j < 64; ++j)
-            ASSERT_EQ(bit_of(m[i], j), bit_of(original[j], i))
-                << "i=" << i << " j=" << j;
-    transpose64(m);
-    EXPECT_EQ(m, original);  // involution
-}
-
-TEST(Bits, Transpose64Identity) {
-    // The identity matrix (diagonal bits) is its own transpose.
-    std::array<std::uint64_t, 64> m{};
-    for (unsigned i = 0; i < 64; ++i) m[i] = std::uint64_t{1} << i;
-    const std::array<std::uint64_t, 64> diag = m;
-    transpose64(m);
-    EXPECT_EQ(m, diag);
-}
-
 TEST(Bits, RotlBits) {
     EXPECT_EQ(rotl_bits(0b0001, 4, 1), 0b0010u);
     EXPECT_EQ(rotl_bits(0b1000, 4, 1), 0b0001u);

@@ -36,6 +36,11 @@
 #     artifact is ingested twice (diff must exit 0, leakage
 #     bit-identical), then a deliberately perturbed copy is ingested and
 #     `diff` must exit with the regression code (3).
+#   * the benchmark's own checks: perfbench/run.py builds its Release copy
+#     of src/ under build/perfbench and runs des_tvla and service_mix for
+#     one second at seed 1, untraced and traced -- each run must exit 0,
+#     which covers the seed-1 goldens, the leakage verdicts and (traced)
+#     the replay-consistency check of the per-layer profile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -143,5 +148,14 @@ for preset in "${presets[@]}"; do
     fi
     echo "ledger radar: bit-identity proven, perturbation tripped (exit 3)"
     rm -rf "$radar_dir"
+
+    echo "==> release extras: benchmark checks (goldens, verdicts, replay)"
+    for workload in des_tvla service_mix; do
+      for trace in 0 1; do
+        CARGO_TARGET_DIR=build python3 perfbench/run.py \
+          --workload "$workload" --seed 1 --seconds 1 --trace "$trace" \
+          > /dev/null
+      done
+    done
   fi
 done

@@ -1,18 +1,15 @@
-// Trace-collection and experiment drivers shared by the test suite and
-// the bench harness.
+// Table I (paper Sec. II-B): the safe input sequences of secAND2.
 //
-// The general pattern of every evaluation in the paper is:
-//   restart device -> apply stimulus (fixed or random class) -> record the
-//   per-cycle power trace -> add Gaussian measurement noise -> feed the
-//   TVLA accumulators; repeat with randomly interleaved classes.
-// collect_trace() implements one iteration of that loop; the experiment
-// functions wrap it with the paper's specific stimulus schedules and run
-// the campaign on the sharded parallel engine of parallel_campaign.hpp --
-// every trace derives its randomness from (seed, trace index), so results
-// are bit-identical at any worker count.
+// Each experiment applies the four shares one per cycle, in one of the 24
+// orders, to a registered secAND2 harness and runs a fixed-vs-random TVLA
+// per cycle.  The campaign itself -- sharding, lanes, checkpoints,
+// telemetry, attribution -- is the shared pipeline of
+// eval/trace_campaign.hpp; this driver contributes the sequence
+// workload: its circuit, stimulus and drive schedule.  Every trace
+// derives its randomness from (seed, trace index), so results are
+// bit-identical at any worker count and lane width.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/circuits.hpp"
@@ -25,13 +22,6 @@
 #include "support/thread_pool.hpp"
 
 namespace glitchmask::eval {
-
-/// Restarts `sim`, records `cycles` power bins while `drive` runs the
-/// stimulus, and returns the trace with Gaussian noise of `sigma` added.
-[[nodiscard]] std::vector<double> collect_trace(
-    sim::ClockedSim& sim, power::PowerRecorder& recorder, std::size_t cycles,
-    double sigma, Xoshiro256& noise_rng,
-    const std::function<void(sim::ClockedSim&)>& drive);
 
 // ----- Table I: safe input sequences of secAND2 -------------------------
 
@@ -88,7 +78,6 @@ private:
     core::RegisteredSecand2 circuit_;
     sim::DelayModel dm_;
     sim::ClockConfig clock_;
-    power::PowerConfig power_config_;
 };
 
 /// Power bins per sequence trace: inputs + 4 sequence slots + settle.

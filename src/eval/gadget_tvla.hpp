@@ -14,11 +14,13 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/gadgets.hpp"
 #include "eval/checkpoint.hpp"
+#include "eval/trace_campaign.hpp"
 #include "leakage/attribution.hpp"
 #include "sim/clocked.hpp"
 #include "support/thread_pool.hpp"
@@ -84,6 +86,14 @@ struct GadgetStimulus {
 [[nodiscard]] GadgetStimulus gadget_stimulus(unsigned fresh_bits,
                                              std::uint64_t seed,
                                              std::size_t trace_index);
+
+/// Lane form of a gadget's input load: packs gadget_stimulus() of the
+/// group's traces onto `inputs` (x0, x1, y0, y1, then the fresh bits),
+/// marks the fixed-class lanes and starts the group.  The caller runs the
+/// drive schedule.
+void load_gadget_lanes(LaneGroup& group,
+                       std::span<const netlist::NetId> inputs,
+                       std::uint64_t seed);
 
 /// The zoo circuit: `replicas` gadget instances behind shared input
 /// registers (enable group 1), frozen.

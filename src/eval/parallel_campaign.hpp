@@ -167,6 +167,8 @@ template <class Acc, class Merge>
 }
 
 /// Runs `plan.traces` traces on `pool` and returns the merged accumulator.
+/// Collectors process a whole block at once -- the lane engine simulates
+/// a block as lane groups of 64..512 consecutive trace indices:
 ///
 ///   make_worker() -> owning handle H of one simulator replica; called
 ///     lazily, at most once per pool worker, on that worker's thread.
@@ -175,27 +177,13 @@ template <class Acc, class Merge>
 ///     internal pointers (e.g. a PowerRecorder registered as toggle sink)
 ///     stay valid.
 ///   make_acc() -> empty block accumulator Acc.
-///   run_trace(H& worker, std::size_t trace_index, Acc& acc) collects one
-///     trace into the block accumulator.
-///   merge(Acc& into, const Acc& from) folds two block accumulators.
-template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
-[[nodiscard]] auto run_sharded(ThreadPool& pool, const ShardPlan& plan,
-                               MakeWorker&& make_worker, MakeAcc&& make_acc,
-                               RunTrace&& run_trace, Merge&& merge)
-    -> decltype(make_acc());
-
-/// Block-granular variant of run_sharded for collectors that process a
-/// whole block at once -- the lane engine simulates a block as lane
-/// groups of 64..512 consecutive trace indices, so it needs the [begin,
-/// end) range rather than one callback per trace:
-///
 ///   run_block(H& worker, std::size_t begin, std::size_t end, Acc& acc)
 ///     collects traces [begin, end) into the block accumulator.
+///   merge(Acc& into, const Acc& from) folds two block accumulators.
 ///
-/// Sharding, replica reuse and the merge tree are identical to
-/// run_sharded, so the per-block accumulation order -- and therefore the
-/// merged floating-point result -- only depends on what run_block feeds
-/// the accumulator.
+/// Blocks merge in the fixed tree of merge_tree(), so the merged
+/// floating-point result only depends on what run_block feeds each block
+/// accumulator.
 template <class MakeWorker, class MakeAcc, class RunBlock, class Merge>
 [[nodiscard]] auto run_sharded_blocks(ThreadPool& pool, const ShardPlan& plan,
                                       MakeWorker&& make_worker,
@@ -234,23 +222,6 @@ template <class MakeWorker, class MakeAcc, class RunBlock, class Merge>
     group.wait();
 
     return merge_tree(blocks, merge);
-}
-
-template <class MakeWorker, class MakeAcc, class RunTrace, class Merge>
-[[nodiscard]] auto run_sharded(ThreadPool& pool, const ShardPlan& plan,
-                               MakeWorker&& make_worker, MakeAcc&& make_acc,
-                               RunTrace&& run_trace, Merge&& merge)
-    -> decltype(make_acc()) {
-    using Worker = decltype(make_worker());
-    using Acc = decltype(make_acc());
-    return run_sharded_blocks(
-        pool, plan, std::forward<MakeWorker>(make_worker),
-        std::forward<MakeAcc>(make_acc),
-        [&run_trace](Worker& worker, std::size_t begin, std::size_t end,
-                     Acc& acc) {
-            for (std::size_t n = begin; n < end; ++n) run_trace(worker, n, acc);
-        },
-        std::forward<Merge>(merge));
 }
 
 // ----- crash-safe variant ----------------------------------------------

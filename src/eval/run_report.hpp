@@ -175,13 +175,14 @@ struct JsonValue {
 /// Brackets one driver run: resolves the report path, turns telemetry
 /// collection on for the run's duration when a report was requested,
 /// snapshots the counter registry and both clocks, owns the progress
-/// meter, and records checkpoint history.  Usage:
+/// meter, and records checkpoint history.  run_trace_campaign
+/// (eval/trace_campaign.cpp) brackets every driver run this way:
 ///
-///   RunTelemetrySession session(id, config.run, fingerprint,
-///                               plan.traces, workers, lanes);
-///   CheckpointPolicy policy = make_checkpoint_policy(config.run, id);
+///   RunTelemetrySession session(id, run, fingerprint, traces, workers,
+///                               lanes);
+///   CheckpointPolicy policy = make_checkpoint_policy(run, id);
 ///   session.attach(policy);            // wraps policy.on_checkpoint
-///   ... run_sharded_blocks_checkpointed(..., &progress, session.meter());
+///   ... the checkpointed sharded runner with &progress, session.meter()
 ///   session.add_metric("max_abs_t_order1", t1);
 ///   session.finish(progress);          // final progress emit + report
 class RunTelemetrySession {

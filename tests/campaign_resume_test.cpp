@@ -486,5 +486,96 @@ TEST(CampaignResume, DefaultFingerprintsArePinned) {
                   {"mean_power", 0x801d8eb867bf54d2ull, 0x272222ac65b77c75ull});
 }
 
+TEST(CampaignResume, SnapshotBytesArePinned) {
+    // A restarted daemon resumes the .gmsnap files in its spool, so their
+    // byte layout is an external contract: a self-consistent change (the
+    // DES toggle word moved, the attribution section reordered) would
+    // pass every resume test above yet strand every spooled snapshot.
+    // Each driver runs its default config at 192 traces (3 blocks of 64),
+    // checkpoints every block and cancels after block 2; the snapshot
+    // carries no timestamp, so its bytes are deterministic.  These FNV-1a
+    // hashes were recorded before the four drivers shared one pipeline.
+    struct Pin {
+        const char* campaign;
+        std::uint64_t plain;
+        std::uint64_t attributed;
+    };
+    const auto snapshot_hash = [](const std::string& path) {
+        const auto bytes = read_file_if_exists(path);
+        EXPECT_TRUE(bytes.has_value()) << path;
+        std::uint64_t hash = kFnvOffset;
+        for (const std::uint8_t byte : bytes.value_or(std::vector<std::uint8_t>{})) {
+            hash ^= byte;
+            hash *= 0x100000001B3ULL;
+        }
+        std::remove(path.c_str());
+        return hash;
+    };
+    // Fills `run` to checkpoint every block into `path` and cancel once
+    // block 2 is on disk (one worker: the first wave is blocks 0-1).
+    const auto cancel_after_two = [](CampaignRunOptions& run,
+                                     CancelToken& token,
+                                     const std::string& path,
+                                     bool attribute) {
+        run.checkpoint_path = path;
+        run.checkpoint_every = 1;
+        run.cancel = &token;
+        run.attribution = attribute;
+        run.on_checkpoint = [&token](std::size_t completed_blocks) {
+            if (completed_blocks >= 2) token.request();
+        };
+    };
+    const std::string path = temp_snapshot("pin_bytes.gmsnap");
+    const des::MaskedDesCore core(des::MaskedDesOptions{});
+    std::vector<std::uint64_t> hashes;
+    for (const bool attribute : {false, true}) {
+        SequenceExperimentConfig seq;
+        seq.traces = 192;
+        seq.workers = 1;
+        CancelToken seq_token;
+        cancel_after_two(seq.run, seq_token, path, attribute);
+        EXPECT_TRUE(run_sequence_experiment(core::all_input_sequences().front(),
+                                            seq)
+                        .cancelled);
+        hashes.push_back(snapshot_hash(path));
+
+        GadgetTvlaConfig gadget;
+        gadget.traces = 192;
+        gadget.workers = 1;
+        CancelToken gadget_token;
+        cancel_after_two(gadget.run, gadget_token, path, attribute);
+        EXPECT_TRUE(run_gadget_tvla(gadget).cancelled);
+        hashes.push_back(snapshot_hash(path));
+
+        DesTvlaConfig des;
+        des.traces = 192;
+        des.workers = 1;
+        CancelToken des_token;
+        cancel_after_two(des.run, des_token, path, attribute);
+        EXPECT_TRUE(run_des_tvla(core, des).cancelled);
+        hashes.push_back(snapshot_hash(path));
+
+        CampaignRunOptions mean;
+        CancelToken mean_token;
+        cancel_after_two(mean, mean_token, path, attribute);
+        CampaignProgress progress;
+        (void)mean_power_trace(core, 192, /*seed=*/1, /*placement_seed=*/1,
+                               /*workers=*/1, /*lanes=*/0, mean, &progress);
+        EXPECT_TRUE(progress.cancelled);
+        hashes.push_back(snapshot_hash(path));
+    }
+    const Pin pins[] = {
+        {"sequence_tvla", 0xc93d48a2bf1f3f1aull, 0x8c999ee3fb8a5abfull},
+        {"gadget_tvla", 0xca697b027048a6e5ull, 0xc65126d1f7aeff8aull},
+        {"des_tvla", 0xf76e181167144bb2ull, 0x5e075f4b31865134ull},
+        {"mean_power", 0x318121bbd9b1e329ull, 0x320337c3951c864dull},
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+        SCOPED_TRACE(pins[i].campaign);
+        EXPECT_EQ(hashes[i], pins[i].plain);
+        EXPECT_EQ(hashes[4 + i], pins[i].attributed);
+    }
+}
+
 }  // namespace
 }  // namespace glitchmask::eval

@@ -189,10 +189,23 @@ void BatchAttributionProbe::begin_group(std::uint64_t fixed_mask,
     acc_ = &acc;
 }
 
+void BatchAttributionProbe::on_toggles(
+    std::span<const sim::ToggleEntry> batch) {
+    // The recorder and the counters keep independent state, so the whole
+    // batch can go to the recorder first.
+    if (next_ != nullptr) next_->on_toggles(batch);
+    for (const sim::ToggleEntry& e : batch) count(e.net, e.time, e.toggled);
+}
+
 void BatchAttributionProbe::on_toggle(netlist::NetId net, sim::TimePs time,
                                       std::uint64_t values,
                                       std::uint64_t toggled) {
     if (next_ != nullptr) next_->on_toggle(net, time, values, toggled);
+    count(net, time, toggled);
+}
+
+void BatchAttributionProbe::count(netlist::NetId net, sim::TimePs time,
+                                  std::uint64_t toggled) {
     const std::uint32_t probe = plan_.probe_of(net);
     if (probe == AttributionPlan::kUnwatched) return;
     if (cur_window_ >= plan_.windows()) return;

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -228,7 +229,9 @@ void fold_planes_avx2(std::uint64_t* planes, std::uint64_t* touched,
 /// point.  All accumulator sums are exact small integers held in doubles
 /// (counts saturate at 255, totals stay far below 2^53), so this early,
 /// chunk-interleaved addition order is bit-identical to 64 scalar
-/// fold_trace() calls.
+/// fold_trace() calls.  The lane engine hands the probe batches of
+/// commits: it forwards each batch to the wrapped sink (the chunk's power
+/// recorder) and then runs its counters over the same entries.
 class BatchAttributionProbe final : public sim::BatchToggleSink {
 public:
     BatchAttributionProbe(const AttributionPlan& plan,
@@ -243,8 +246,15 @@ public:
     void begin_group(std::uint64_t fixed_mask, unsigned count,
                      AttributionAccumulator& acc);
 
+    /// Forwards the batch to the wrapped sink, then counts its entries.
+    void on_toggles(std::span<const sim::ToggleEntry> batch) override;
     void on_toggle(netlist::NetId net, sim::TimePs time, std::uint64_t values,
                    std::uint64_t toggled) override;
+    /// The wrapped sink's partner table (the probe itself reads none).
+    [[nodiscard]] const netlist::NetId* coupling_partners()
+        const noexcept override {
+        return next_ != nullptr ? next_->coupling_partners() : nullptr;
+    }
 
     /// Flushes the windows still pending into the block subtotals and
     /// adds the per-class trace counts to the accumulator registered by
@@ -259,6 +269,7 @@ public:
     void spill_block();
 
 private:
+    void count(netlist::NetId net, sim::TimePs time, std::uint64_t toggled);
     void flush_window();
 
     static constexpr unsigned kPlanes = plane_kernels::kPlanes;

@@ -137,7 +137,8 @@ std::shared_ptr<const CompiledProgram> build_program(const netlist::Netlist& nl,
         for (const netlist::Sink& sink : nl.fanout(id)) {
             const std::uint32_t wire = dm.wire_delay(sink.cell, sink.pin);
             max_wire = std::max(max_wire, wire);
-            p.fanout[out++] = {sink.cell, sink.pin, wire};
+            p.fanout[out++] = {sink.cell, sink.pin, nl.cell(sink.cell).kind,
+                               wire};
         }
     }
 

@@ -25,7 +25,9 @@
 #     the hot paths must never change a result or crash);
 #   * one extra ctest pass under GLITCHMASK_SIMD=off, pinning every
 #     runtime-dispatched kernel to its portable scalar fallback (the
-#     bit-identity tests then prove scalar == vector end to end);
+#     bit-identity tests then prove scalar == vector end to end), and one
+#     under GLITCHMASK_SIMD=avx2, which keeps the AVX2 kernels covered end
+#     to end on hosts whose default level is AVX-512;
 #   * bench/campaign_throughput's overhead/speedup figures are bounds-
 #     checked through `glitchmask_ledger gate` (telemetry <= 3%,
 #     tracing-off <= 1%, tracing-on <= 5%, attribution-off <= 1%,
@@ -100,6 +102,9 @@ for preset in "${presets[@]}"; do
 
     echo "==> release extras: suite under GLITCHMASK_SIMD=off (scalar kernels)"
     GLITCHMASK_SIMD=off ctest --preset "$preset" -j "$jobs"
+
+    echo "==> release extras: suite under GLITCHMASK_SIMD=avx2 (AVX2 kernels)"
+    GLITCHMASK_SIMD=avx2 ctest --preset "$preset" -j "$jobs"
 
     echo "==> release extras: bench overhead + speedup gates"
     # 256 traces: large enough that the per-block amortizations (spill

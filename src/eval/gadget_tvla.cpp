@@ -1,6 +1,7 @@
 #include "eval/gadget_tvla.hpp"
 
 #include <bit>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "eval/parallel_campaign.hpp"
 #include "eval/trace_campaign.hpp"
 #include "leakage/tvla.hpp"
+#include "support/simd.hpp"
 
 namespace glitchmask::eval {
 
@@ -50,6 +52,8 @@ unsigned gadget_fresh_bits(GadgetKind kind) noexcept {
 
 GadgetStimulus gadget_stimulus(unsigned fresh_bits, std::uint64_t seed,
                                std::size_t trace_index) {
+    if (fresh_bits > kMaxFreshBits)
+        throw std::invalid_argument("gadget_stimulus: too many fresh bits");
     Xoshiro256 rng = trace_rng(seed, kStimulusStream, trace_index);
     GadgetStimulus stim;
     stim.fixed = rng.bit();
@@ -58,25 +62,42 @@ GadgetStimulus gadget_stimulus(unsigned fresh_bits, std::uint64_t seed,
     const core::MaskedBit mx = core::mask_bit(x, rng);
     const core::MaskedBit my = core::mask_bit(y, rng);
     stim.shares = {mx.s0, mx.s1, my.s0, my.s1};
-    stim.fresh.reserve(fresh_bits);
-    for (unsigned i = 0; i < fresh_bits; ++i) stim.fresh.push_back(rng.bit());
+    for (unsigned i = 0; i < fresh_bits; ++i) stim.fresh[i] = rng.bit();
     return stim;
+}
+
+void pack_gadget_stimulus(unsigned fresh_bits, std::uint64_t seed,
+                          std::size_t first, unsigned count,
+                          std::span<LaneWords> words, LaneWords& fixed) {
+    if (fresh_bits > kMaxFreshBits || words.size() < 4 + fresh_bits ||
+        count > sim::kMaxLaneChunks * 64u)
+        throw std::invalid_argument("pack_gadget_stimulus: bad shape");
+#if defined(GLITCHMASK_HAVE_AVX512)
+    if (support::active_simd_level() >= support::SimdLevel::kAvx512) {
+        pack_gadget_stimulus_avx512(fresh_bits, mix64(seed, kStimulusStream),
+                                    first, count, words, fixed);
+        return;
+    }
+#endif
+    for (unsigned lane = 0; lane < count; ++lane) {
+        const GadgetStimulus stim =
+            gadget_stimulus(fresh_bits, seed, first + lane);
+        if (stim.fixed) set_lane(fixed, lane);
+        for (std::size_t i = 0; i < 4; ++i)
+            if (stim.shares[i]) set_lane(words[i], lane);
+        for (unsigned i = 0; i < fresh_bits; ++i)
+            if (stim.fresh[i]) set_lane(words[4 + i], lane);
+    }
 }
 
 void load_gadget_lanes(LaneGroup& group,
                        std::span<const netlist::NetId> inputs,
                        std::uint64_t seed) {
     const unsigned fresh_bits = static_cast<unsigned>(inputs.size() - 4);
-    std::array<LaneWords, 7> words{};
-    for (unsigned lane = 0; lane < group.count; ++lane) {
-        const GadgetStimulus stim =
-            gadget_stimulus(fresh_bits, seed, group.first + lane);
-        if (stim.fixed) set_lane(group.fixed, lane);
-        for (std::size_t i = 0; i < 4; ++i)
-            if (stim.shares[i]) set_lane(words[i], lane);
-        for (unsigned i = 0; i < fresh_bits; ++i)
-            if (stim.fresh[i]) set_lane(words[4 + i], lane);
-    }
+    std::array<LaneWords, 4 + kMaxFreshBits> words{};
+    pack_gadget_stimulus(fresh_bits, seed, group.first, group.count,
+                         std::span<LaneWords>(words.data(), inputs.size()),
+                         group.fixed);
     group.start();
     for (unsigned c = 0; c < group.sim.chunks(); ++c)
         for (std::size_t i = 0; i < inputs.size(); ++i)

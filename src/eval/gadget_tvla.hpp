@@ -44,8 +44,11 @@ inline constexpr GadgetKind kAllGadgets[] = {
 /// unknown name.
 [[nodiscard]] std::optional<GadgetKind> parse_gadget(std::string_view name);
 
-/// Fresh random input bits the gadget consumes per evaluation.
+/// Fresh random input bits the gadget consumes per evaluation (at most
+/// kMaxFreshBits).
 [[nodiscard]] unsigned gadget_fresh_bits(GadgetKind kind) noexcept;
+
+inline constexpr unsigned kMaxFreshBits = 3;
 
 struct GadgetTvlaConfig {
     GadgetKind gadget = GadgetKind::Naive;
@@ -80,17 +83,34 @@ struct GadgetTvlaResult {
 struct GadgetStimulus {
     bool fixed = false;
     std::array<bool, 4> shares{};  // x0, x1, y0, y1
-    std::vector<bool> fresh;
+    std::array<bool, kMaxFreshBits> fresh{};  // the first fresh_bits drawn
 };
 
 [[nodiscard]] GadgetStimulus gadget_stimulus(unsigned fresh_bits,
                                              std::uint64_t seed,
                                              std::size_t trace_index);
 
-/// Lane form of a gadget's input load: packs gadget_stimulus() of the
-/// group's traces onto `inputs` (x0, x1, y0, y1, then the fresh bits),
-/// marks the fixed-class lanes and starts the group.  The caller runs the
-/// drive schedule.
+/// gadget_stimulus() of traces [first, first + count) packed into lane
+/// words (count <= 512): lane l of words[i] is trace first + l's
+/// shares[i] for i < 4 and fresh[i - 4] above (words holds 4 + fresh_bits
+/// entries), lane l of `fixed` its class.  Lanes past count stay clear.
+/// On AVX-512F+DQ hosts eight lanes draw at once
+/// (pack_gadget_stimulus_avx512); elsewhere this loops over
+/// gadget_stimulus().
+void pack_gadget_stimulus(unsigned fresh_bits, std::uint64_t seed,
+                          std::size_t first, unsigned count,
+                          std::span<LaneWords> words, LaneWords& fixed);
+#if defined(GLITCHMASK_HAVE_AVX512)
+/// `stream` is mix64(seed, kStimulusStream).
+void pack_gadget_stimulus_avx512(unsigned fresh_bits, std::uint64_t stream,
+                                 std::size_t first, unsigned count,
+                                 std::span<LaneWords> words, LaneWords& fixed);
+#endif
+
+/// Lane form of a gadget's input load: packs the group's stimulus
+/// (pack_gadget_stimulus) onto `inputs` (x0, x1, y0, y1, then the fresh
+/// bits), marks the fixed-class lanes and starts the group.  The caller
+/// runs the drive schedule.
 void load_gadget_lanes(LaneGroup& group,
                        std::span<const netlist::NetId> inputs,
                        std::uint64_t seed);

@@ -32,18 +32,20 @@ power::PowerConfig power_config(const Workload& w) {
 
 /// One worker's lane replica: the lane sim plus one BatchPowerRecorder
 /// (and, with attribution on, one BatchAttributionProbe) per 64-lane
-/// chunk.  Heap-held and never copied or moved: the sink registrations
-/// point into the recorder/probe vectors, reserved up front.
+/// chunk, and one chunk's lane-major noisy rows for the TVLA fold.
+/// Heap-held and never copied or moved: the sink registrations point
+/// into the recorder/probe vectors, reserved up front.
 struct LaneWorker {
     sim::CompiledClockedSim sim;
     std::vector<power::BatchPowerRecorder> recorders;
     std::vector<leakage::BatchAttributionProbe> probes;
-    std::vector<double> noisy;
+    std::vector<double> rows;
     telemetry::SimStats last_stats{};
 
     LaneWorker(const Workload& w, unsigned lanes,
                const leakage::AttributionPlan* attribution)
-        : sim(w.nl, w.dm, lanes, w.clock, w.coupling) {
+        : sim(w.nl, w.dm, lanes, w.clock, w.coupling),
+          rows(w.fold.max_test_order > 0 ? sim::kBatchLanes * w.bins : 0) {
         recorders.reserve(sim.chunks());
         probes.reserve(sim.chunks());
         for (unsigned c = 0; c < sim.chunks(); ++c) {
@@ -123,6 +125,10 @@ struct Pipeline {
     std::uint64_t seed;
     std::size_t attr_points;
     bool attribute;
+    /// mix64(seed, kNoiseStream): trace t's noise generator is
+    /// Xoshiro256(mix64(noise_stream, t)), i.e. trace_rng(seed,
+    /// kNoiseStream, t).
+    std::uint64_t noise_stream = mix64(seed, kNoiseStream);
 
     [[nodiscard]] bool moments() const { return w.fold.max_test_order > 0; }
 
@@ -192,31 +198,33 @@ struct Pipeline {
             w.drive_lanes(group);
             phases.lap(telemetry::Counter::kPhaseSimNanos);
 
-            // Fused fold, chunk by chunk: each lane's row goes straight
-            // into the accumulator, noise drawn in bin order from that
-            // trace's own stream, lanes in lane order -- the scalar
-            // body's addend sequence for every per-point accumulator.
+            // Fused fold, chunk by chunk: the chunk's noisy rows (noise
+            // drawn in bin order from each trace's own stream) go into
+            // the accumulator in lane order -- the scalar body's addend
+            // sequence for every per-point accumulator.
             for (unsigned c = 0; c * 64u < group.count; ++c) {
                 const power::BatchPowerRecorder& recorder =
                     worker.recorders[c];
                 const unsigned live = std::min(64u, group.count - c * 64u);
-                for (unsigned lane = 0; lane < live; ++lane) {
-                    if (moments) {
-                        Xoshiro256 noise_rng = trace_rng(
-                            seed, kNoiseStream, first + c * 64u + lane);
-                        recorder.noisy_lane_trace_into(
-                            lane, noise_rng, fold.noise_sigma, worker.noisy);
-                        if (fold.count_toggles)
+                if (moments) {
+                    recorder.noisy_rows_into(live, noise_stream,
+                                             first + c * 64u,
+                                             fold.noise_sigma,
+                                             worker.rows.data());
+                    if (fold.count_toggles)
+                        for (unsigned lane = 0; lane < live; ++lane)
                             acc.toggles += recorder.lane_toggles(lane);
-                        phases.lap(telemetry::Counter::kPhaseNoiseNanos);
-                        acc.bank.add_trace(((group.fixed[c] >> lane) & 1u) != 0,
-                                           worker.noisy.data());
-                    } else {
+                    phases.lap(telemetry::Counter::kPhaseNoiseNanos);
+                    for (unsigned lane = 0; lane < live; ++lane)
+                        acc.bank.add_trace(
+                            ((group.fixed[c] >> lane) & 1u) != 0,
+                            worker.rows.data() + lane * bins);
+                } else {
+                    for (unsigned lane = 0; lane < live; ++lane)
                         for (std::size_t i = 0; i < bins; ++i)
                             acc.sum[i] += recorder.sample(i, lane);
-                    }
-                    phases.lap(telemetry::Counter::kPhaseMomentsNanos);
                 }
+                phases.lap(telemetry::Counter::kPhaseMomentsNanos);
                 if (!worker.probes.empty()) worker.probes[c].fold_group();
                 phases.lap(telemetry::Counter::kPhaseAttributionNanos);
             }

@@ -30,6 +30,23 @@ namespace {
 
 }  // namespace
 
+FoldCoefficients fold_coefficients(int max_order, double n1) noexcept {
+    struct Table {
+        double binom[7][7];
+    };
+    static const Table table = [] {
+        Table t{};
+        for (int p = 2; p <= 6; ++p)
+            for (int k = 1; k <= p - 2; ++k) t.binom[p][k] = binomial(p, k);
+        return t;
+    }();
+    FoldCoefficients c{};
+    c.binom = table.binom;
+    const double neg_inv = -1.0 / n1;
+    for (int p = 2; p <= max_order; ++p) c.tail[p] = 1.0 - ipow(neg_inv, p - 1);
+    return c;
+}
+
 void fold_row_scalar(double* mean, double* sums, std::size_t points,
                      std::size_t stride, int max_order, double n1, double n,
                      const double* row) {
@@ -45,12 +62,7 @@ void fold_row_scalar(double* mean, double* sums, std::size_t points,
     }
     // The Pebay coefficients depend only on (p, k, n1, n) -- scalars the
     // whole row shares -- so hoist them out of the point loop.
-    double binom[7][7];
-    double tail[7];
-    for (int p = 2; p <= max_order; ++p) {
-        for (int k = 1; k <= p - 2; ++k) binom[p][k] = binomial(p, k);
-        tail[p] = 1.0 - ipow(-1.0 / n1, p - 1);
-    }
+    const FoldCoefficients c = fold_coefficients(max_order, n1);
     for (std::size_t i = 0; i < points; ++i) {
         const double x = row[i];
         const double delta = x - mean[i];
@@ -59,17 +71,21 @@ void fold_row_scalar(double* mean, double* sums, std::size_t points,
         for (int p = max_order; p >= 2; --p) {
             double update = sums[static_cast<std::size_t>(p) * stride + i];
             for (int k = 1; k <= p - 2; ++k)
-                update += binom[p][k] *
+                update += c.binom[p][k] *
                           sums[static_cast<std::size_t>(p - k) * stride + i] *
                           ipow(-delta_n, k);
             const double term = n1 * delta / n;
-            update += ipow(term, p) * tail[p];
+            update += ipow(term, p) * c.tail[p];
             sums[static_cast<std::size_t>(p) * stride + i] = update;
         }
     }
 }
 
 FoldRowFn resolve_fold_row() noexcept {
+#if defined(GLITCHMASK_HAVE_AVX512)
+    if (support::active_simd_level() >= support::SimdLevel::kAvx512)
+        return fold_row_avx512;
+#endif
 #if defined(GLITCHMASK_HAVE_AVX2)
     if (support::active_simd_level() >= support::SimdLevel::kAvx2)
         return fold_row_avx2;

@@ -38,11 +38,23 @@ namespace bank_kernels {
 /// points.  `sums` row p starts at `sums + p * stride` (rows 0..max_order;
 /// rows 0 and 1 are unused and stay zero); `stride` may exceed `points`
 /// so a vector kernel can hand its remainder to the scalar form.
-/// `n1`/`n` are the class count before/after this trace.  Scalar and
-/// AVX2 forms are bit-identical (see support/simd.hpp).
+/// `n1`/`n` are the class count before/after this trace.  Scalar, AVX2
+/// and AVX-512 forms are bit-identical (see support/simd.hpp).
 using FoldRowFn = void (*)(double* mean, double* sums, std::size_t points,
                            std::size_t stride, int max_order, double n1,
                            double n, const double* row);
+
+/// The Pebay coefficients a fold shares across all points of a row:
+/// binom[p][k] = binomial(p, k) for 2 <= p <= 6, 1 <= k <= p - 2 (from a
+/// table built once with leakage/moments.cpp's definition) and tail[p] =
+/// 1 - (-1 / n1)^(p - 1) for 2 <= p <= max_order, with -1 / n1 computed
+/// once.  Every kernel level reads the same values.
+struct FoldCoefficients {
+    const double (*binom)[7];
+    double tail[7];
+};
+[[nodiscard]] FoldCoefficients fold_coefficients(int max_order,
+                                                 double n1) noexcept;
 
 void fold_row_scalar(double* mean, double* sums, std::size_t points,
                      std::size_t stride, int max_order, double n1, double n,
@@ -51,6 +63,12 @@ void fold_row_scalar(double* mean, double* sums, std::size_t points,
 void fold_row_avx2(double* mean, double* sums, std::size_t points,
                    std::size_t stride, int max_order, double n1, double n,
                    const double* row);
+#endif
+#if defined(GLITCHMASK_HAVE_AVX512)
+/// Eight points per vector with masked loads and stores: no scalar tail.
+void fold_row_avx512(double* mean, double* sums, std::size_t points,
+                     std::size_t stride, int max_order, double n1, double n,
+                     const double* row);
 #endif
 
 /// Kernel for support::active_simd_level(); never null.

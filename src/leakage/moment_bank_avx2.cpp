@@ -19,19 +19,6 @@ namespace glitchmask::leakage::bank_kernels {
 
 namespace {
 
-[[nodiscard]] double binomial(int n, int k) {
-    double result = 1.0;
-    for (int i = 1; i <= k; ++i)
-        result = result * static_cast<double>(n - k + i) / static_cast<double>(i);
-    return result;
-}
-
-[[nodiscard]] double ipow(double base, int exponent) {
-    double result = 1.0;
-    for (int i = 0; i < exponent; ++i) result *= base;
-    return result;
-}
-
 /// ipow as the identical multiply chain, four points wide.
 [[nodiscard]] inline __m256d ipow_pd(__m256d base, int exponent) noexcept {
     __m256d result = _mm256_set1_pd(1.0);
@@ -60,13 +47,7 @@ void fold_row_avx2(double* mean, double* sums, std::size_t points,
         return;
     }
 
-    double binom[7][7];
-    double tail[7];
-    for (int p = 2; p <= max_order; ++p) {
-        for (int k = 1; k <= p - 2; ++k) binom[p][k] = binomial(p, k);
-        tail[p] = 1.0 - ipow(-1.0 / n1, p - 1);
-    }
-
+    const FoldCoefficients c = fold_coefficients(max_order, n1);
     const __m256d vn1 = _mm256_set1_pd(n1);
     const __m256d sign = _mm256_set1_pd(-0.0);
     std::size_t i = 0;
@@ -88,14 +69,14 @@ void fold_row_avx2(double* mean, double* sums, std::size_t points,
                     sums + static_cast<std::size_t>(p - k) * stride + i;
                 // binom * sums * ipow, left to right as in the scalar form.
                 const __m256d product = _mm256_mul_pd(
-                    _mm256_mul_pd(_mm256_set1_pd(binom[p][k]),
+                    _mm256_mul_pd(_mm256_set1_pd(c.binom[p][k]),
                                   _mm256_loadu_pd(krow)),
                     ipow_pd(neg_delta_n, k));
                 update = _mm256_add_pd(update, product);
             }
             update = _mm256_add_pd(
                 update,
-                _mm256_mul_pd(ipow_pd(term, p), _mm256_set1_pd(tail[p])));
+                _mm256_mul_pd(ipow_pd(term, p), _mm256_set1_pd(c.tail[p])));
             _mm256_storeu_pd(prow, update);
         }
     }

@@ -2,10 +2,16 @@
 
 #include <stdexcept>
 
+#include "support/simd.hpp"
+
 namespace glitchmask::power {
 
 BatchPowerRecorder::BatchPowerRecorder(const Netlist& nl, PowerConfig config)
     : config_(config), kernels_(kernels::resolve_deposit_kernels()) {
+#if defined(GLITCHMASK_HAVE_AVX512)
+    if (support::active_simd_level() >= support::SimdLevel::kAvx512)
+        noisy_rows_ = kernels::noisy_rows_avx512;
+#endif
     if (!nl.frozen())
         throw std::runtime_error("BatchPowerRecorder: netlist not frozen");
     weight_ = net_weights(nl, config);
@@ -76,12 +82,33 @@ void BatchPowerRecorder::lane_trace_into(unsigned lane,
         out[bin] = trace_[bin * sim::kBatchLanes + lane];
 }
 
+void BatchPowerRecorder::noisy_lane_row(unsigned lane, Xoshiro256& rng,
+                                        double sigma, double* out) const {
+    for (std::size_t bin = 0; bin < bins_; ++bin)
+        out[bin] = trace_[bin * sim::kBatchLanes + lane];
+    if (sigma > 0.0)
+        for (std::size_t bin = 0; bin < bins_; ++bin)
+            out[bin] += rng.gaussian(0.0, sigma);
+}
+
 void BatchPowerRecorder::noisy_lane_trace_into(unsigned lane, Xoshiro256& rng,
                                                double sigma,
                                                std::vector<double>& out) const {
-    lane_trace_into(lane, out);
-    if (sigma > 0.0)
-        for (double& sample : out) sample += rng.gaussian(0.0, sigma);
+    out.resize(bins_);
+    noisy_lane_row(lane, rng, sigma, out.data());
+}
+
+void BatchPowerRecorder::noisy_rows_into(unsigned live, std::uint64_t stream,
+                                         std::uint64_t first, double sigma,
+                                         double* out) const {
+    if (noisy_rows_ != nullptr) {
+        noisy_rows_(trace_.data(), bins_, live, stream, first, sigma, out);
+        return;
+    }
+    for (unsigned lane = 0; lane < live; ++lane) {
+        Xoshiro256 rng(mix64(stream, first + lane));
+        noisy_lane_row(lane, rng, sigma, out + lane * bins_);
+    }
 }
 
 }  // namespace glitchmask::power

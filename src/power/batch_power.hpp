@@ -39,6 +39,27 @@
 
 namespace glitchmask::power {
 
+namespace kernels {
+
+/// Chunk noise: for lanes [0, live) of the bin-major (bins x 64) sample
+/// matrix `trace`, writes lane-major noisy rows out[lane * bins + bin] =
+/// trace[bin * 64 + lane] + (0.0 + sigma * g), g the lane's Marsaglia
+/// polar draws from Xoshiro256(mix64(stream, first + lane)) in bin order
+/// (no draws when sigma <= 0).  The AVX-512 form keeps a rejection mask
+/// and the spare per lane, calls std::log per lane and does the rest
+/// with IEEE vector ops, so it is bit-identical to the per-lane walk.
+using NoisyRowsFn = void (*)(const double* trace, std::size_t bins,
+                             unsigned live, std::uint64_t stream,
+                             std::uint64_t first, double sigma, double* out);
+
+#if defined(GLITCHMASK_HAVE_AVX512)
+void noisy_rows_avx512(const double* trace, std::size_t bins, unsigned live,
+                       std::uint64_t stream, std::uint64_t first, double sigma,
+                       double* out);
+#endif
+
+}  // namespace kernels
+
 class BatchPowerRecorder final : public sim::BatchToggleSink {
 public:
     BatchPowerRecorder(const Netlist& nl, PowerConfig config);
@@ -78,6 +99,15 @@ public:
     void noisy_lane_trace_into(unsigned lane, Xoshiro256& rng, double sigma,
                                std::vector<double>& out) const;
 
+    /// The noisy traces of lanes [0, live) as lane-major rows: row `lane`
+    /// (out[lane * bins() ..]) is bit for bit what noisy_lane_trace_into
+    /// writes for that lane with rng = Xoshiro256(mix64(stream, first +
+    /// lane)) -- trace_rng(seed, tag, first + lane) when stream is
+    /// mix64(seed, tag).  On AVX-512F+DQ hosts eight lanes draw at once
+    /// (kernels::noisy_rows_avx512); elsewhere this loops over the lanes.
+    void noisy_rows_into(unsigned live, std::uint64_t stream,
+                         std::uint64_t first, double sigma, double* out) const;
+
     /// Toggles committed in lane `lane` since begin_trace() (includes
     /// out-of-window toggles past the last bin, like the scalar counter).
     [[nodiscard]] std::uint64_t lane_toggles(unsigned lane) const noexcept {
@@ -97,8 +127,12 @@ public:
     [[nodiscard]] const PowerConfig& config() const noexcept { return config_; }
 
 private:
+    void noisy_lane_row(unsigned lane, Xoshiro256& rng, double sigma,
+                        double* out) const;
+
     PowerConfig config_;
     kernels::DepositKernels kernels_;
+    kernels::NoisyRowsFn noisy_rows_ = nullptr;
     const sim::BatchWordView* engine_ = nullptr;
     std::vector<double> weight_;
     std::vector<NetId> partner_;

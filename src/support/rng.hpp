@@ -12,6 +12,10 @@
 #include <cstdint>
 #include <limits>
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+#endif
+
 namespace glitchmask {
 
 /// SplitMix64 step: turns an arbitrary 64-bit seed stream into well-mixed
@@ -104,5 +108,105 @@ private:
     double spare_ = 0.0;
     bool has_spare_ = false;
 };
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+/// Eight counter-based Xoshiro256 streams, one per 64-bit lane of an
+/// AVX-512 vector: lane l is Xoshiro256(mix64(stream, first + l)), so
+/// with stream = mix64(seed, tag) it is the per-trace generator
+/// trace_rng(seed, tag, first + l) of eval/parallel_campaign.hpp.  The
+/// seeding is mix64 and SplitMix64 on all lanes at once, and next()
+/// advances only the lanes of its mask, so lanes that draw different
+/// counts (rejection loops, class-dependent stimulus) stay exact.  Only
+/// visible to translation units built with -mavx512f -mavx512dq.
+class Xoshiro256x8 {
+public:
+    Xoshiro256x8(std::uint64_t stream, std::uint64_t first) noexcept {
+        const __m512i counter = _mm512_add_epi64(
+            _mm512_set1_epi64(static_cast<long long>(first)),
+            _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+        // mix64(stream, counter).
+        __m512i s = _mm512_xor_si512(
+            _mm512_set1_epi64(static_cast<long long>(stream)),
+            _mm512_mullo_epi64(counter, golden()));
+        const __m512i v = splitmix64(s);
+        __m512i sm = _mm512_xor_si512(splitmix64(s), v);
+        // Xoshiro256(seed)'s SplitMix64 seeding.
+        s0_ = splitmix64(sm);
+        s1_ = splitmix64(sm);
+        s2_ = splitmix64(sm);
+        s3_ = splitmix64(sm);
+    }
+
+    /// The next output of every lane in `active`; the other lanes'
+    /// outputs are unspecified and their states do not move.
+    [[nodiscard]] __m512i next(__mmask8 active) noexcept {
+        const __m512i result =
+            _mm512_add_epi64(rotl(_mm512_add_epi64(s0_, s3_), 23), s0_);
+        const __m512i t = shl(s1_, 17);
+        __m512i s2 = _mm512_xor_si512(s2_, s0_);
+        __m512i s3 = _mm512_xor_si512(s3_, s1_);
+        const __m512i s1 = _mm512_xor_si512(s1_, s2);
+        const __m512i s0 = _mm512_xor_si512(s0_, s3);
+        s2 = _mm512_xor_si512(s2, t);
+        s3 = rotl(s3, 45);
+        s0_ = _mm512_mask_mov_epi64(s0_, active, s0);
+        s1_ = _mm512_mask_mov_epi64(s1_, active, s1);
+        s2_ = _mm512_mask_mov_epi64(s2_, active, s2);
+        s3_ = _mm512_mask_mov_epi64(s3_, active, s3);
+        return result;
+    }
+
+    /// Xoshiro256::bit() of the lanes in `active` as a lane mask.
+    [[nodiscard]] __mmask8 bit(__mmask8 active) noexcept {
+        return _mm512_movepi64_mask(next(active)) & active;
+    }
+
+    /// Xoshiro256::uniform(-1.0, 1.0) of the lanes in `active`, with the
+    /// scalar expression's operations: (x >> 11) converts exactly, then
+    /// -1.0 + 2.0 * (that * 2^-53).
+    [[nodiscard]] __m512d uniform_pm1(__mmask8 active) noexcept {
+        const __m512d u = _mm512_mul_pd(
+            _mm512_cvtepu64_pd(shr(next(active), 11)),
+            _mm512_set1_pd(0x1.0p-53));
+        return _mm512_add_pd(_mm512_set1_pd(-1.0),
+                             _mm512_mul_pd(_mm512_set1_pd(2.0), u));
+    }
+
+private:
+    // Shifts as vector-extension operators: GCC 12's immediate-shift and
+    // rotate intrinsics trip -Wmaybe-uninitialized in its own headers.
+    using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+    static __m512i shl(__m512i x, int n) noexcept {
+        return (__m512i)((U64x8)x << n);
+    }
+    static __m512i shr(__m512i x, int n) noexcept {
+        return (__m512i)((U64x8)x >> n);
+    }
+    static __m512i rotl(__m512i x, int k) noexcept {
+        return _mm512_or_si512(shl(x, k), shr(x, 64 - k));
+    }
+
+    static __m512i golden() noexcept {
+        return _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL));
+    }
+
+    /// The SplitMix64 step of every lane.
+    static __m512i splitmix64(__m512i& state) noexcept {
+        state = _mm512_add_epi64(state, golden());
+        __m512i z = state;
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, shr(z, 30)),
+                               _mm512_set1_epi64(static_cast<long long>(
+                                   0xbf58476d1ce4e5b9ULL)));
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, shr(z, 27)),
+                               _mm512_set1_epi64(static_cast<long long>(
+                                   0x94d049bb133111ebULL)));
+        return _mm512_xor_si512(z, shr(z, 31));
+    }
+
+    __m512i s0_, s1_, s2_, s3_;
+};
+
+#endif  // __AVX512F__ && __AVX512DQ__
 
 }  // namespace glitchmask

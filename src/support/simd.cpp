@@ -14,7 +14,11 @@ SimdLevel detect_level() {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) cpu = SimdLevel::kAvx2;
-    if (__builtin_cpu_supports("avx512f")) cpu = SimdLevel::kAvx512;
+    // The AVX-512 kernels use DQ instructions (vpmullq, vcvtuqq2pd,
+    // vpmovq2m); an F-only CPU stays on the AVX2 level.
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq"))
+        cpu = SimdLevel::kAvx512;
 #endif
     const std::string req = env_string("GLITCHMASK_SIMD", "auto");
     SimdLevel capped = cpu;

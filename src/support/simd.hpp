@@ -14,6 +14,9 @@
 // GLITCHMASK_SIMD: "off"/"scalar" forces the portable path, "avx2" caps
 // at AVX2, "avx512" / "auto" (default) use the best level the CPU
 // reports.  Requesting a level the CPU lacks silently clamps down.
+// kAvx2 needs the avx2 CPU flag; kAvx512 needs avx512f *and* avx512dq
+// (the 64-bit multiplies and conversions of the noise, stimulus and fold
+// kernels), so an F-only CPU runs the AVX2 level.
 #pragma once
 
 namespace glitchmask::support {

@@ -97,33 +97,69 @@ TEST(MomentBank, FirstTraceAndSentinelsMatchTTest) {
     expect_identical(pair.bank, pair.campaign);
 }
 
+TEST(MomentBank, VectorKernelsMatchScalarKernelExactly) {
+    struct Level {
+        const char* name;
+        bank_kernels::FoldRowFn fn;
+    };
+    std::vector<Level> levels;
+    const support::SimdLevel active = support::active_simd_level();
 #if defined(GLITCHMASK_HAVE_AVX2)
-TEST(MomentBank, Avx2KernelMatchesScalarKernelExactly) {
-    if (support::active_simd_level() < support::SimdLevel::kAvx2)
-        GTEST_SKIP() << "AVX2 unavailable or disabled via GLITCHMASK_SIMD";
-    // Drive both kernels through the same (n1, n) sequence on identical
-    // plane copies; every double must match bit for bit, including the
-    // vector remainder (21 % 4 != 0 exercises the scalar tail).
-    constexpr std::size_t kPoints = 21;
-    constexpr int kMaxOrder = 6;
-    std::vector<double> mean_s(kPoints, 0.0);
-    std::vector<double> sums_s((kMaxOrder + 1) * kPoints, 0.0);
-    std::vector<double> mean_v = mean_s;
-    std::vector<double> sums_v = sums_s;
-    Xoshiro256 rng(29);
-    for (std::size_t n = 1; n <= 300; ++n) {
-        const std::vector<double> row = random_row(rng, kPoints);
-        const double n1 = static_cast<double>(n - 1);
-        const double nn = static_cast<double>(n);
-        bank_kernels::fold_row_scalar(mean_s.data(), sums_s.data(), kPoints,
-                                      kPoints, kMaxOrder, n1, nn, row.data());
-        bank_kernels::fold_row_avx2(mean_v.data(), sums_v.data(), kPoints,
-                                    kPoints, kMaxOrder, n1, nn, row.data());
-    }
-    EXPECT_EQ(mean_s, mean_v);
-    EXPECT_EQ(sums_s, sums_v);
-}
+    if (active >= support::SimdLevel::kAvx2)
+        levels.push_back({"avx2", bank_kernels::fold_row_avx2});
 #endif
+#if defined(GLITCHMASK_HAVE_AVX512)
+    if (active >= support::SimdLevel::kAvx512)
+        levels.push_back({"avx512", bank_kernels::fold_row_avx512});
+#endif
+    if (levels.empty())
+        GTEST_SKIP() << "no vector kernel at GLITCHMASK_SIMD="
+                     << support::simd_level_name(active);
+    // Drive each kernel and the scalar one through the same (n1, n)
+    // sequence, from the class's first trace (n1 == 0) on, on identical
+    // plane copies; every double must match bit for bit.  1..21 points
+    // cover the AVX2 scalar tail and every AVX-512 mask.  The planes are
+    // padded past `points` and the padding must stay untouched.
+    for (const Level& level : levels) {
+        for (std::size_t points = 1; points <= 21; ++points) {
+            for (int order = 1; order <= 3; ++order) {
+                const int max_order = 2 * order;
+                const std::size_t stride = points + 5;
+                std::vector<double> mean_s(stride, -7.0);
+                std::vector<double> sums_s((max_order + 1) * stride, -7.0);
+                for (std::size_t i = 0; i < points; ++i) {
+                    mean_s[i] = 0.0;
+                    for (int p = 0; p <= max_order; ++p)
+                        sums_s[p * stride + i] = 0.0;
+                }
+                std::vector<double> mean_v = mean_s;
+                std::vector<double> sums_v = sums_s;
+                Xoshiro256 rng(1000 * points + static_cast<unsigned>(order));
+                for (std::size_t n = 1; n <= 60; ++n) {
+                    const std::vector<double> row = random_row(rng, stride);
+                    const double n1 = static_cast<double>(n - 1);
+                    const double nn = static_cast<double>(n);
+                    bank_kernels::fold_row_scalar(mean_s.data(), sums_s.data(),
+                                                  points, stride, max_order,
+                                                  n1, nn, row.data());
+                    level.fn(mean_v.data(), sums_v.data(), points, stride,
+                             max_order, n1, nn, row.data());
+                    // memcmp: == on the bits, so a -0.0 for 0.0 fails too.
+                    ASSERT_EQ(std::memcmp(mean_s.data(), mean_v.data(),
+                                          stride * sizeof(double)),
+                              0)
+                        << level.name << " points " << points << " order "
+                        << order << " trace " << n;
+                    ASSERT_EQ(std::memcmp(sums_s.data(), sums_v.data(),
+                                          sums_s.size() * sizeof(double)),
+                              0)
+                        << level.name << " points " << points << " order "
+                        << order << " trace " << n;
+                }
+            }
+        }
+    }
+}
 
 TEST(MomentBank, MergeMatchesCampaignMergeExactly) {
     // Split/merge must mirror the per-point accumulator merges: compare

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/circuits.hpp"
+#include "eval/checkpoint.hpp"
 #include "eval/parallel_campaign.hpp"
 #include "leakage/attribution.hpp"
 #include "leakage/tvla.hpp"

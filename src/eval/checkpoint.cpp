@@ -45,28 +45,14 @@ void fold_attribution_fingerprint(CampaignFingerprint& fingerprint,
         fingerprint.payload, fnv1a64_tag(run.attribution_scope.c_str()));
 }
 
-CheckpointPolicy make_checkpoint_policy(const CampaignRunOptions& run,
-                                        const std::string& default_id) {
-    CheckpointPolicy policy;
-    if (!run.checkpoint_path.empty()) {
-        policy.path = run.checkpoint_path;
-    } else {
-        const std::string dir = env_string("GLITCHMASK_CHECKPOINT_DIR", "");
-        if (!dir.empty()) {
-            const std::string id =
-                run.campaign_id.empty() ? default_id : run.campaign_id;
-            policy.path = dir + "/" + id + ".gmsnap";
-        }
-    }
-    if (run.checkpoint_every > 0) policy.every_blocks = run.checkpoint_every;
-    policy.cancel = run.cancel;
-    policy.on_checkpoint = run.on_checkpoint;
-    policy.io_retry = run.io_retry;
-    policy.degrade_on_io_error = run.degrade_on_io_error;
-    policy.discard_corrupt_snapshot = run.discard_corrupt_snapshot;
-    policy.on_degraded = run.on_degraded;
-    policy.trace_parent = run.trace_parent;
-    return policy;
+std::string resolve_checkpoint_path(const CampaignRunOptions& run,
+                                    const std::string& default_id) {
+    if (!run.checkpoint_path.empty()) return run.checkpoint_path;
+    const std::string dir = env_string("GLITCHMASK_CHECKPOINT_DIR", "");
+    if (dir.empty()) return {};
+    const std::string id =
+        run.campaign_id.empty() ? default_id : run.campaign_id;
+    return dir + "/" + id + ".gmsnap";
 }
 
 SnapshotWriter begin_checkpoint(const CampaignFingerprint& fp,

@@ -1,13 +1,14 @@
-// Campaign checkpoint framing: identity fingerprint, policy, and the
-// versioned snapshot file layout.
+// Campaign checkpoint framing: identity fingerprint, run options, and
+// the versioned snapshot file layout.
 //
 // A checkpoint stores the campaign's *merge frontier*: the stack of
 // partial subtree accumulators the index-ordered pairwise reduction has
-// built so far (see parallel_campaign.hpp -- the stack reproduces the
-// fixed merge tree exactly), plus the number of contiguously completed
-// blocks.  Because PR 1's counter-based per-trace RNG makes every block a
-// pure function of (seed, block index), resuming from the frontier is
-// bit-identical to an uninterrupted run at any worker or lane count.
+// built so far (see the runner in eval/trace_campaign.cpp -- the stack
+// reproduces a fixed pairwise tree over block indices), plus the number
+// of contiguously completed blocks.  Because the counter-based per-trace
+// RNG makes every block a pure function of (seed, block index), resuming
+// from the frontier is bit-identical to an uninterrupted run at any
+// worker or lane count.
 //
 // File layout (all little-endian, support/snapshot.hpp primitives):
 //
@@ -32,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "support/cancel.hpp"
 #include "support/retry.hpp"
@@ -84,6 +86,10 @@ struct CampaignFingerprint {
 void require_fingerprint_match(const CampaignFingerprint& expected,
                                const CampaignFingerprint& stored);
 
+/// Blocks per wave, and so between snapshots, when
+/// CampaignRunOptions::checkpoint_every is 0.
+inline constexpr std::size_t kDefaultCheckpointEvery = 16;
+
 /// User-facing knobs for the crash-safe runtime, embedded in every
 /// driver config.
 struct CampaignRunOptions {
@@ -94,15 +100,16 @@ struct CampaignRunOptions {
     /// Filename stem under GLITCHMASK_CHECKPOINT_DIR; empty = the
     /// driver's default id ("des_tvla", "mean_power", "seq_<n>").
     std::string campaign_id;
-    /// Blocks between checkpoints; 0 = default (16).  Durability
-    /// granularity only -- the merge frontier makes results independent
-    /// of the checkpoint cadence.
+    /// Blocks between checkpoints; 0 = kDefaultCheckpointEvery.
+    /// Durability granularity only -- the merge frontier makes results
+    /// independent of the checkpoint cadence.
     std::size_t checkpoint_every = 0;
     /// Cooperative cancellation; in-flight blocks finish, a final
     /// checkpoint is written, and a partial result is returned.
     CancelToken* cancel = nullptr;
-    /// Test hook: called with the completed-block count after every
-    /// checkpoint write (fault-injection tests kill the process here).
+    /// Test hook: called with the completed-block count after every wave
+    /// of blocks, whether or not a snapshot was written (cancel and
+    /// fault-injection tests cancel or kill the process here).
     std::function<void(std::size_t)> on_checkpoint;
     /// Explicit run-report file (JSON).  Empty: derived as
     /// $GLITCHMASK_REPORT_DIR/<campaign_id>.report.json when the env var
@@ -163,35 +170,11 @@ struct CampaignRunOptions {
 void fold_attribution_fingerprint(CampaignFingerprint& fingerprint,
                                   const CampaignRunOptions& run);
 
-/// Resolved per-run policy handed to the sharded runner.
-struct CheckpointPolicy {
-    std::string path;              // empty = no snapshots
-    std::size_t every_blocks = 16;
-    CancelToken* cancel = nullptr;
-    std::function<void(std::size_t)> on_checkpoint;
-    /// Degradation policy, copied from CampaignRunOptions (see there).
-    RetryPolicy io_retry;
-    bool degrade_on_io_error = false;
-    bool discard_corrupt_snapshot = false;
-    std::function<void(const char* what, const std::string& detail)>
-        on_degraded;
-    /// Parent span for block/checkpoint spans (copied from run options;
-    /// not part of active() -- tracing alone never changes the execution
-    /// path).
-    std::uint64_t trace_parent = 0;
-
-    /// Anything here that forces the wave-structured (checkpointable)
-    /// execution path instead of the one-shot submit-all path?
-    [[nodiscard]] bool active() const noexcept {
-        return !path.empty() || cancel != nullptr ||
-               static_cast<bool>(on_checkpoint);
-    }
-};
-
-/// Builds the policy for one driver run: resolves the snapshot path from
-/// the options / GLITCHMASK_CHECKPOINT_DIR and fills the defaults.
-[[nodiscard]] CheckpointPolicy make_checkpoint_policy(
-    const CampaignRunOptions& run, const std::string& default_id);
+/// Snapshot file for one driver run: explicit run.checkpoint_path, else
+/// $GLITCHMASK_CHECKPOINT_DIR/<id>.gmsnap (id = run.campaign_id or
+/// `default_id`), else "" (no snapshots).
+[[nodiscard]] std::string resolve_checkpoint_path(const CampaignRunOptions& run,
+                                                  const std::string& default_id);
 
 /// Progress report of a (possibly cancelled or resumed) campaign run.
 struct CampaignProgress {
@@ -205,9 +188,12 @@ struct CampaignProgress {
     /// A corrupt resume snapshot was quarantined and the campaign
     /// restarted from zero (results unaffected).
     bool snapshot_discarded = false;
+    /// Completed-block marks of this run's successful snapshot writes, in
+    /// order (the run report's checkpoint history).
+    std::vector<std::uint64_t> checkpoint_blocks;
 };
 
-// --- snapshot file framing (used by the templated runner) ---------------
+// --- snapshot file framing (used by the campaign runner) -----------------
 
 /// Starts a checkpoint buffer: magic, version, fingerprint, completed
 /// block count and stack entry count.  The caller appends each entry's

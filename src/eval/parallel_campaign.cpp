@@ -4,6 +4,7 @@
 #include <string>
 
 #include "support/env.hpp"
+#include "support/log.hpp"
 
 namespace glitchmask::eval {
 

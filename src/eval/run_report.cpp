@@ -1,5 +1,6 @@
 #include "eval/run_report.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/runenv.hpp"
 
 namespace glitchmask::eval {
@@ -20,29 +22,6 @@ std::int64_t steady_ns() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
 }
 
 void append_double(std::string& out, double value) {
@@ -182,47 +161,71 @@ private:
         }
     }
 
+    /// JSON number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+    /// converted with the whole token consumed.
     JsonValue parse_number() {
         const std::size_t start = pos_;
-        bool negative = false;
+        const auto digits = [&] {
+            const std::size_t from = pos_;
+            while (pos_ < text_.size() && text_[pos_] >= '0' &&
+                   text_[pos_] <= '9')
+                ++pos_;
+            return pos_ - from;
+        };
+        const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+        if (negative) ++pos_;
+        const std::size_t int_start = pos_;
+        const std::size_t int_digits = digits();
+        if (int_digits == 0) fail("bad number");
+        if (int_digits > 1 && text_[int_start] == '0')
+            fail("bad number (leading zero)");
         bool integral = true;
-        if (peek() == '-') {
-            negative = true;
+        if (pos_ < text_.size() && text_[pos_] == '.') {
             ++pos_;
+            if (digits() == 0) fail("bad number (no digits after '.')");
+            integral = false;
         }
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
+        if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            ++pos_;
+            if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
                 ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+            if (digits() == 0) fail("bad number (no exponent digits)");
+            integral = false;
         }
-        if (pos_ == start + (negative ? 1u : 0u)) fail("bad number");
-        const std::string token(text_.substr(start, pos_ - start));
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
         JsonValue value;
+        std::from_chars_result parsed;
         if (integral && !negative) {
             // Exact u64 path: fingerprint words must round-trip.
             value.kind = JsonValue::Kind::kUnsigned;
-            value.unsigned_value = std::stoull(token);
+            parsed = std::from_chars(first, last, value.unsigned_value);
         } else {
             value.kind = JsonValue::Kind::kNumber;
-            value.number = std::stod(token);
+            parsed = std::from_chars(first, last, value.number);
         }
+        if (parsed.ec == std::errc::result_out_of_range)
+            fail("number out of range");
+        if (parsed.ec != std::errc{} || parsed.ptr != last) fail("bad number");
         return value;
+    }
+
+    /// Arrays and objects may nest at most kJsonMaxDepth deep, so hostile
+    /// input cannot exhaust the stack.
+    void enter() {
+        if (++depth_ > kJsonMaxDepth) fail("nesting deeper than " +
+                                          std::to_string(kJsonMaxDepth));
     }
 
     JsonValue parse_array() {
         expect('[');
+        enter();
         JsonValue value;
         value.kind = JsonValue::Kind::kArray;
         skip_ws();
         if (peek() == ']') {
             ++pos_;
+            --depth_;
             return value;
         }
         for (;;) {
@@ -233,17 +236,20 @@ private:
                 continue;
             }
             expect(']');
+            --depth_;
             return value;
         }
     }
 
     JsonValue parse_object() {
         expect('{');
+        enter();
         JsonValue value;
         value.kind = JsonValue::Kind::kObject;
         skip_ws();
         if (peek() == '}') {
             ++pos_;
+            --depth_;
             return value;
         }
         for (;;) {
@@ -258,12 +264,14 @@ private:
                 continue;
             }
             expect('}');
+            --depth_;
             return value;
         }
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
 const JsonValue& require(const JsonValue& object, std::string_view key) {
@@ -318,11 +326,11 @@ std::string render_run_report(const RunReport& report) {
     std::string out;
     out.reserve(2048);
     out += "{\n  \"schema\": ";
-    append_escaped(out, kRunReportSchema);
+    append_json_string(out, kRunReportSchema);
     out += ",\n  \"version\": ";
     append_u64(out, kRunReportVersion);
     out += ",\n  \"campaign\": ";
-    append_escaped(out, report.campaign);
+    append_json_string(out, report.campaign);
     out += ",\n  \"fingerprint\": {";
     out += "\"kind\": ";
     append_u64(out, report.fingerprint.kind);
@@ -339,11 +347,11 @@ std::string render_run_report(const RunReport& report) {
     out += ",\n  \"lanes\": ";
     append_u64(out, report.lanes);
     out += ",\n  \"revision\": ";
-    append_escaped(out, report.revision);
+    append_json_string(out, report.revision);
     out += ",\n  \"hostname\": ";
-    append_escaped(out, report.hostname);
+    append_json_string(out, report.hostname);
     out += ",\n  \"utc\": ";
-    append_escaped(out, report.utc);
+    append_json_string(out, report.utc);
     out += ",\n  \"wall_seconds\": ";
     append_double(out, report.wall_seconds);
     out += ",\n  \"cpu_seconds\": ";
@@ -354,7 +362,7 @@ std::string render_run_report(const RunReport& report) {
     for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
         if (i != 0) out += ",";
         out += "\n    ";
-        append_escaped(out,
+        append_json_string(out,
                        telemetry::counter_name(static_cast<telemetry::Counter>(i)));
         out += ": ";
         append_u64(out, report.counters.values[i]);
@@ -370,7 +378,7 @@ std::string render_run_report(const RunReport& report) {
         if (!first_histogram) out += ",";
         first_histogram = false;
         out += "\n    ";
-        append_escaped(out, telemetry::histogram_name(
+        append_json_string(out, telemetry::histogram_name(
                                 static_cast<telemetry::Histogram>(i)));
         out += ": {\"count\": ";
         append_u64(out, h.count);
@@ -411,7 +419,7 @@ std::string render_run_report(const RunReport& report) {
     for (std::size_t i = 0; i < report.metrics.size(); ++i) {
         if (i != 0) out += ",";
         out += "\n    ";
-        append_escaped(out, report.metrics[i].first);
+        append_json_string(out, report.metrics[i].first);
         out += ": ";
         append_double(out, report.metrics[i].second);
     }
@@ -421,7 +429,7 @@ std::string render_run_report(const RunReport& report) {
         out += ",\n  \"attribution\": {\n    \"top_k\": ";
         append_u64(out, attr.top_k);
         out += ",\n    \"scope\": ";
-        append_escaped(out, attr.scope);
+        append_json_string(out, attr.scope);
         out += ",\n    \"traces_fixed\": ";
         append_u64(out, attr.traces_fixed);
         out += ",\n    \"traces_random\": ";
@@ -433,11 +441,11 @@ std::string render_run_report(const RunReport& report) {
             out += "\n      {\"net\": ";
             append_u64(out, net.net);
             out += ", \"name\": ";
-            append_escaped(out, net.name);
+            append_json_string(out, net.name);
             out += ", \"kind\": ";
-            append_escaped(out, net.kind);
+            append_json_string(out, net.kind);
             out += ", \"module\": ";
-            append_escaped(out, net.module);
+            append_json_string(out, net.module);
             out += ", \"max_abs_t\": ";
             append_double(out, net.max_abs_t);
             out += ", \"argmax_window\": ";
@@ -460,7 +468,7 @@ std::string render_run_report(const RunReport& report) {
             const trace::SpanSummary& span = report.spans[i];
             out += i != 0 ? "," : "";
             out += "\n    {\"name\": ";
-            append_escaped(out, span.name);
+            append_json_string(out, span.name);
             out += ", \"count\": ";
             append_u64(out, span.count);
             out += ", \"total_ns\": ";
@@ -627,16 +635,6 @@ RunTelemetrySession::~RunTelemetrySession() {
     trace::set_enabled(restore_trace_);
 }
 
-void RunTelemetrySession::attach(CheckpointPolicy& policy) {
-    // The runner invokes on_checkpoint from the wave loop on the calling
-    // thread, so the history vector needs no lock.
-    policy.on_checkpoint = [this, chained = std::move(policy.on_checkpoint)](
-                               std::size_t completed_blocks) {
-        checkpoint_blocks_.push_back(completed_blocks);
-        if (chained) chained(completed_blocks);
-    };
-}
-
 telemetry::ProgressMeter* RunTelemetrySession::meter() noexcept {
     return meter_.active() ? &meter_ : nullptr;
 }
@@ -703,7 +701,7 @@ void RunTelemetrySession::finish(const CampaignProgress& progress) {
     report.telemetry_enabled = true;
     report.counters = telemetry::snapshot().delta_since(start_);
     report.progress = progress;
-    report.checkpoint_blocks = checkpoint_blocks_;
+    report.checkpoint_blocks = progress.checkpoint_blocks;
     report.metrics = metrics_;
     report.attribution = attribution_;
     report.spans = std::move(span_summary);

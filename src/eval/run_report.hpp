@@ -96,8 +96,9 @@ struct RunReport {
     bool telemetry_enabled = false;
     telemetry::Snapshot counters;
     CampaignProgress progress;
-    /// Completed-block marks at each checkpoint write, in order.  A
-    /// resumed run records only this process's writes.
+    /// Completed-block marks at each successful snapshot write, in order
+    /// (empty for a run without a snapshot path).  A resumed run records
+    /// only this process's writes.
     std::vector<std::uint64_t> checkpoint_blocks;
     /// Driver headline numbers, e.g. {"max_abs_t_order1", 4.2}.
     std::vector<std::pair<std::string, double>> metrics;
@@ -155,8 +156,13 @@ struct JsonValue {
     }
 };
 
+/// Deepest array/object nesting parse_json accepts (reports nest 4 deep).
+inline constexpr std::size_t kJsonMaxDepth = 64;
+
 /// Parses one JSON document (object/array/scalar); throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, on numbers
+/// outside the JSON grammar or the u64/double range, and on nesting
+/// deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Decodes a parsed report document (any accepted schema version); throws
@@ -174,15 +180,14 @@ struct JsonValue {
 
 /// Brackets one driver run: resolves the report path, turns telemetry
 /// collection on for the run's duration when a report was requested,
-/// snapshots the counter registry and both clocks, owns the progress
-/// meter, and records checkpoint history.  run_trace_campaign
-/// (eval/trace_campaign.cpp) brackets every driver run this way:
+/// snapshots the counter registry and both clocks, and owns the progress
+/// meter.  run_trace_campaign (eval/trace_campaign.cpp) brackets every
+/// driver run this way:
 ///
 ///   RunTelemetrySession session(id, run, fingerprint, traces, workers,
 ///                               lanes);
-///   CheckpointPolicy policy = make_checkpoint_policy(run, id);
-///   session.attach(policy);            // wraps policy.on_checkpoint
-///   ... the checkpointed sharded runner with &progress, session.meter()
+///   ... the block runner fills `progress` (incl. its checkpoint marks)
+///       and advances session.meter()
 ///   session.add_metric("max_abs_t_order1", t1);
 ///   session.finish(progress);          // final progress emit + report
 class RunTelemetrySession {
@@ -196,10 +201,7 @@ public:
     RunTelemetrySession(const RunTelemetrySession&) = delete;
     RunTelemetrySession& operator=(const RunTelemetrySession&) = delete;
 
-    /// Chains a history-recording hook in front of policy.on_checkpoint.
-    void attach(CheckpointPolicy& policy);
-
-    /// Meter pointer for the sharded runners; nullptr when neither a
+    /// Meter pointer for the block runner; nullptr when neither a
     /// callback nor a heartbeat is configured (meter overhead skipped).
     [[nodiscard]] telemetry::ProgressMeter* meter() noexcept;
 
@@ -240,7 +242,6 @@ private:
     double cpu_start_ = 0.0;
     std::int64_t wall_start_ns_ = 0;
     telemetry::ProgressMeter meter_;
-    std::vector<std::uint64_t> checkpoint_blocks_;
     std::vector<std::pair<std::string, double>> metrics_;
     AttributionReport attribution_;
 };

@@ -15,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace glitchmask::service {
 
 class JsonWriter {
@@ -26,14 +28,14 @@ public:
 
     void key(std::string_view name) {
         comma();
-        quote(name);
+        append_json_string(out_, name);
         out_ += ':';
         pending_value_ = true;
     }
 
     void value(std::string_view text) {
         comma();
-        quote(text);
+        append_json_string(out_, text);
     }
     void value(const char* text) { value(std::string_view(text)); }
     void value(bool flag) {
@@ -92,29 +94,6 @@ private:
             need_comma_.back() = true;
         }
     }
-    void quote(std::string_view text) {
-        out_ += '"';
-        for (const char c : text) {
-            switch (c) {
-                case '"': out_ += "\\\""; break;
-                case '\\': out_ += "\\\\"; break;
-                case '\n': out_ += "\\n"; break;
-                case '\r': out_ += "\\r"; break;
-                case '\t': out_ += "\\t"; break;
-                default:
-                    if (static_cast<unsigned char>(c) < 0x20) {
-                        char buffer[8];
-                        std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                      static_cast<unsigned>(c));
-                        out_ += buffer;
-                    } else {
-                        out_ += c;
-                    }
-            }
-        }
-        out_ += '"';
-    }
-
     std::string out_;
     std::vector<bool> need_comma_;
     bool pending_value_ = false;

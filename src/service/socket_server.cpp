@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -219,30 +220,40 @@ void SocketServer::service_client(ClientId id, short revents) {
                 close_client(id);
                 return;
             }
-            std::string pending;
+            // Only the new bytes are scanned: the unterminated tail kept in
+            // `in` holds no newline.
+            const std::string_view chunk(buffer, static_cast<std::size_t>(n));
+            const std::size_t last_newline = chunk.rfind('\n');
+            std::string complete;  // whole lines, each newline-terminated
+            bool overlong = false;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 const auto it = clients_.find(id);
                 if (it == clients_.end()) return;
-                it->second.in.append(buffer, static_cast<std::size_t>(n));
-                pending = std::move(it->second.in);
-                it->second.in.clear();
+                std::string& in = it->second.in;
+                if (last_newline == std::string_view::npos) {
+                    in += chunk;
+                    overlong = in.size() > kMaxLineBytes;
+                } else {
+                    complete = std::move(in);
+                    complete += chunk.substr(0, last_newline + 1);
+                    in = chunk.substr(last_newline + 1);
+                }
+            }
+            if (overlong) {
+                log::warn("service: closing client " + std::to_string(id) +
+                          ": unterminated line exceeds " +
+                          std::to_string(kMaxLineBytes) + " bytes");
+                close_client(id);
+                return;
             }
             // Hand complete lines to the owner outside the lock (the
             // handler may call send()).
-            std::size_t start = 0;
-            for (;;) {
-                const std::size_t newline = pending.find('\n', start);
-                if (newline == std::string::npos) break;
+            for (std::size_t start = 0; start < complete.size();) {
+                const std::size_t newline = complete.find('\n', start);
                 if (newline > start && on_line_)
-                    on_line_(id, pending.substr(start, newline - start));
+                    on_line_(id, complete.substr(start, newline - start));
                 start = newline + 1;
-            }
-            if (start < pending.size()) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                const auto it = clients_.find(id);
-                if (it != clients_.end())
-                    it->second.in = pending.substr(start) + it->second.in;
             }
         }
     }

@@ -12,6 +12,8 @@
 //     first loses *droppable* lines (progress events) past the soft cap,
 //     then is disconnected at the hard cap -- the daemon's memory is
 //     bounded by slow clients, never its correctness.
+//   * Input is bounded too: a client whose unterminated line grows past
+//     kMaxLineBytes is disconnected.
 //   * A disconnect is not a cancellation: the server only reports it
 //     (on_disconnect); whether the job keeps running is the daemon's
 //     decision (it does -- results land in the cache for re-query).
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,6 +33,10 @@
 #include <vector>
 
 namespace glitchmask::service {
+
+/// Longest unterminated input line a client may send before it is
+/// disconnected (requests are a few hundred bytes).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 struct SocketServerConfig {
     std::string socket_path;

@@ -9,6 +9,7 @@
 
 #include "support/atomic_file.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/telemetry.hpp"
 
 namespace glitchmask::trace {
@@ -63,29 +64,6 @@ Buffer& local_buffer() {
 }
 
 thread_local std::vector<SpanId> g_ambient;
-
-void append_escaped(std::string& out, std::string_view text) {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
 
 /// Microseconds with nanosecond residue -- Chrome-trace timestamps are
 /// conventionally doubles in us; %.3f keeps the ns exact.
@@ -211,7 +189,7 @@ std::string render_chrome_trace(const std::vector<Span>& spans) {
         if (!first) out += ",";
         first = false;
         out += "\n{\"name\":";
-        append_escaped(out, span.name);
+        append_json_string(out, span.name);
         out += ",\"cat\":\"glitchmask\",\"ph\":\"X\",\"ts\":";
         append_us(out, span.begin_ns);
         out += ",\"dur\":";
@@ -228,9 +206,9 @@ std::string render_chrome_trace(const std::vector<Span>& spans) {
         out += '"';
         for (const auto& [key, value] : span.attrs) {
             out += ',';
-            append_escaped(out, key);
+            append_json_string(out, key);
             out += ':';
-            append_escaped(out, value);
+            append_json_string(out, value);
         }
         out += "}}";
     }

@@ -271,41 +271,31 @@ TEST(CheckpointFraming, FingerprintMismatchNamesTheField) {
     EXPECT_THROW(require_fingerprint_match(expected, stored), CampaignError);
 }
 
-TEST(CheckpointPolicyTest, ExplicitPathWinsOverEnvironment) {
+TEST(CheckpointPathTest, ExplicitPathWinsOverEnvironment) {
     ::setenv("GLITCHMASK_CHECKPOINT_DIR", "/tmp/gm_env_dir", 1);
     CampaignRunOptions run;
     run.checkpoint_path = "/tmp/explicit.gmsnap";
-    const CheckpointPolicy policy = make_checkpoint_policy(run, "def");
-    EXPECT_EQ(policy.path, "/tmp/explicit.gmsnap");
+    EXPECT_EQ(resolve_checkpoint_path(run, "def"), "/tmp/explicit.gmsnap");
     ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
 }
 
-TEST(CheckpointPolicyTest, EnvironmentDirectoryNamesFileByCampaignId) {
+TEST(CheckpointPathTest, EnvironmentDirectoryNamesFileByCampaignId) {
     ::setenv("GLITCHMASK_CHECKPOINT_DIR", "/tmp/gm_env_dir", 1);
-    const CheckpointPolicy by_default =
-        make_checkpoint_policy(CampaignRunOptions{}, "des_tvla");
-    EXPECT_EQ(by_default.path, "/tmp/gm_env_dir/des_tvla.gmsnap");
+    EXPECT_EQ(resolve_checkpoint_path(CampaignRunOptions{}, "des_tvla"),
+              "/tmp/gm_env_dir/des_tvla.gmsnap");
 
     CampaignRunOptions run;
     run.campaign_id = "custom";
-    const CheckpointPolicy by_id = make_checkpoint_policy(run, "des_tvla");
-    EXPECT_EQ(by_id.path, "/tmp/gm_env_dir/custom.gmsnap");
+    EXPECT_EQ(resolve_checkpoint_path(run, "des_tvla"),
+              "/tmp/gm_env_dir/custom.gmsnap");
     ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
 }
 
-TEST(CheckpointPolicyTest, InactiveWithoutPathTokenOrHook) {
+TEST(CheckpointPathTest, NoSnapshotsWithoutPathOrDirectory) {
     ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
-    const CheckpointPolicy off =
-        make_checkpoint_policy(CampaignRunOptions{}, "x");
-    EXPECT_FALSE(off.active());
-    EXPECT_EQ(off.every_blocks, 16u);  // default cadence
-
-    CampaignRunOptions with_cadence;
-    with_cadence.checkpoint_every = 4;
-    with_cadence.checkpoint_path = "/tmp/y.gmsnap";
-    const CheckpointPolicy on = make_checkpoint_policy(with_cadence, "x");
-    EXPECT_TRUE(on.active());
-    EXPECT_EQ(on.every_blocks, 4u);
+    EXPECT_EQ(resolve_checkpoint_path(CampaignRunOptions{}, "x"), "");
+    EXPECT_EQ(CampaignRunOptions{}.checkpoint_every, 0u);
+    EXPECT_EQ(kDefaultCheckpointEvery, 16u);  // what checkpoint_every 0 means
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -19,12 +21,16 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "eval/run_report.hpp"
 #include "obs/ledger.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
+#include "service/socket_server.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
 #include "support/fault.hpp"
@@ -259,6 +265,64 @@ TEST(Protocol, RejectsMalformedLines) {
                  std::runtime_error);
 }
 
+TEST(JsonReader, AcceptsOnlyTheJsonNumberGrammar) {
+    const auto number = [](const char* text) {
+        return eval::parse_json(text).as_number();
+    };
+    EXPECT_EQ(number("0"), 0.0);
+    EXPECT_EQ(number("-0"), 0.0);
+    EXPECT_EQ(number("12"), 12.0);
+    EXPECT_EQ(number("-1.5e-3"), -1.5e-3);
+    EXPECT_EQ(number("1E+2"), 100.0);
+    EXPECT_EQ(number("0.25"), 0.25);
+    EXPECT_EQ(eval::parse_json("18446744073709551615").unsigned_value,
+              18446744073709551615ull);
+    EXPECT_EQ(eval::parse_json("[1,-2]").array.size(), 2u);
+
+    for (const char* bad :
+         {"1-2", "1e", "1.2.3", "01", "-", "1.", ".5", "+1", "1e+", "--1",
+          "0x10", "[1-2]", "{\"a\":1e}", "18446744073709551616", "1e999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW((void)eval::parse_json(bad), std::runtime_error);
+    }
+}
+
+TEST(JsonReader, CapsNestingDepth) {
+    const auto nested = [](std::size_t depth, const char* open,
+                           const char* close) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i) text += open;
+        text += "1";
+        for (std::size_t i = 0; i < depth; ++i) text += close;
+        return text;
+    };
+    const std::size_t cap = eval::kJsonMaxDepth;
+    EXPECT_NO_THROW((void)eval::parse_json(nested(cap, "[", "]")));
+    EXPECT_NO_THROW((void)eval::parse_json(nested(cap, "{\"a\":", "}")));
+    EXPECT_THROW((void)eval::parse_json(nested(cap + 1, "[", "]")),
+                 std::runtime_error);
+    EXPECT_THROW((void)eval::parse_json(nested(cap + 1, "{\"a\":", "}")),
+                 std::runtime_error);
+    EXPECT_THROW((void)eval::parse_json(std::string(200000, '[')),
+                 std::runtime_error);
+}
+
+TEST(Protocol, RejectsHostileLines) {
+    // 200 000 nested '[' once overflowed the stack; it is a typed error now.
+    EXPECT_THROW((void)parse_client_command(std::string(200000, '[')),
+                 std::runtime_error);
+    const std::string submit =
+        "{\"op\":\"submit\",\"kind\":\"gadget_tvla\",\"gadget\":\"trichina\","
+        "\"noise_sigma\":";
+    EXPECT_EQ(parse_client_command(submit + "0.5}").request->noise_sigma, 0.5);
+    // A number prefix ("1" of "1-2") is not a number.
+    for (const char* bad : {"1-2", "1e", "1.2.3"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW((void)parse_client_command(submit + bad + "}"),
+                     std::runtime_error);
+    }
+}
+
 TEST(Protocol, HistoryEncoderRoundTripsThroughTheJsonReader) {
     obs::LedgerEntry entry;
     entry.source = "service";
@@ -424,6 +488,84 @@ TEST(Protocol, MetricsEncoderRoundTripsThroughTheJsonReader) {
     EXPECT_EQ(svc->find("cache_entries")->unsigned_value, 12u);
     EXPECT_EQ(svc->find("cache_hit_rate")->as_number(), 0.25);
     EXPECT_EQ(svc->find("spool_bytes")->unsigned_value, 4096u);
+}
+
+// ----- socket transport ----------------------------------------------------
+
+/// A blocking client of the server at `path` whose reads and writes give
+/// up after 5 s, so a server that never answers fails the test instead of
+/// hanging it; -1 when the connect fails.
+int connect_client(const std::string& path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    const timeval timeout{5, 0};
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(SocketServerTest, DropsAnOverlongLineAndServesOtherClients) {
+    SocketServerConfig config;
+    config.socket_path = ::testing::TempDir() + "glitchmask_framing_" +
+                         std::to_string(::getpid()) + ".sock";
+    config.poll_interval_ms = 20;
+    SocketServer server(config);
+    std::atomic<int> disconnects{0};
+    server.set_line_handler(
+        [&server](SocketServer::ClientId id, const std::string& line) {
+            server.send(id, "echo " + line + "\n", /*droppable=*/false);
+        });
+    server.set_disconnect_handler(
+        [&disconnects](SocketServer::ClientId) { ++disconnects; });
+    server.listen();
+    std::thread loop([&server] { server.run(); });
+
+    const int served = connect_client(config.socket_path);
+    const int flood = connect_client(config.socket_path);
+    ASSERT_GE(served, 0);
+    ASSERT_GE(flood, 0);
+
+    // 2 MiB without a newline.  The server closes the connection once the
+    // pending line passes kMaxLineBytes, so the writes fail before the end.
+    const std::string chunk(64 * 1024, 'x');
+    std::size_t sent = 0;
+    while (sent < 2 * kMaxLineBytes) {
+        const ssize_t n =
+            ::send(flood, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (n <= 0) break;
+        sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_LT(sent, 2 * kMaxLineBytes);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (disconnects.load() == 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(disconnects.load(), 1);
+    ::close(flood);
+
+    const std::string ping = "ping\n";
+    ASSERT_EQ(::send(served, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    std::string reply;
+    char buffer[64];
+    while (reply.find('\n') == std::string::npos) {
+        const ssize_t n = ::recv(served, buffer, sizeof buffer, 0);
+        if (n <= 0) break;
+        reply.append(buffer, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(reply, "echo ping\n");
+    ::close(served);
+
+    server.stop();
+    loop.join();
 }
 
 // ----- scheduler behaviour -----------------------------------------------

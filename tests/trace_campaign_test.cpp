@@ -8,16 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "eval/parallel_campaign.hpp"
+#include "eval/run_report.hpp"
 #include "eval/trace_campaign.hpp"
 #include "support/cancel.hpp"
+#include "support/fault.hpp"
 #include "support/snapshot.hpp"
+#include "support/telemetry.hpp"
 
 namespace glitchmask::eval {
 namespace {
@@ -61,14 +67,15 @@ void toy_schedule(Sim& s) {
 }
 
 Workload toy_workload(const ToyXor& toy, const sim::DelayModel& dm,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, std::size_t traces = kTraces,
+                      std::size_t block_size = kBlockSize) {
     return Workload{
         .nl = toy.nl,
         .dm = dm,
         .clock = {},
         .bins = 3,
         .tag = "toy_xor",
-        .fingerprint = {fnv1a64_tag("toy_xor"), seed, kTraces, kBlockSize,
+        .fingerprint = {fnv1a64_tag("toy_xor"), seed, traces, block_size,
                         kFnvOffset},
         .fold = {.max_test_order = 2, .noise_sigma = 0.5},
         .drive_lanes =
@@ -170,6 +177,116 @@ TEST_P(TraceCampaignTest, CancelledAtBlockTwoThenResumedEqualsUninterrupted) {
     EXPECT_EQ(resumed.progress.completed_traces, kTraces);
     expect_identical(baseline, resumed, "resumed");
     std::remove(path.c_str());
+}
+
+// The fixed reduction shape, pinned.  13 blocks leave a merge frontier
+// spanning 8 + 4 + 1 blocks, which the runner folds right to left,
+// 8 + (4 + 1), reproducing the pairwise tree over block indices.  Every
+// equality test above compares two runs of the same runner, so a change to
+// that shape would pass them all; these literals were recorded before the
+// runner became the only one.
+TEST(TraceCampaignReductionShape, ThirteenBlockFoldIsPinned) {
+    constexpr std::size_t kPinBlock = 64;
+    constexpr std::size_t kPinTraces = 12 * kPinBlock + 40;  // 13 blocks
+    const ToyXor toy;
+    const sim::DelayModel dm(toy.nl, placement_delay_config(7));
+    for (const unsigned workers : {1u, 3u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        ThreadPool pool(workers);
+        const TraceCampaignResult result = run_trace_campaign(
+            toy_workload(toy, dm, /*seed=*/5, kPinTraces, kPinBlock),
+            {kPinTraces, kPinBlock, /*seed=*/5, /*lanes=*/64}, {}, pool);
+        ASSERT_EQ(result.progress.completed_blocks, 13u);
+        std::uint64_t hash = kFnvOffset;
+        for (const std::uint8_t byte : bank_bytes(result.bank)) {
+            hash ^= byte;
+            hash *= 0x100000001B3ULL;
+        }
+        EXPECT_EQ(hash, 0x5bb8812708fa3443ull);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.max_abs_t[1]),
+                  0x3fe25d697766b74bull);  // 0.57390282936624
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.max_abs_t[2]),
+                  0x4032172fa2e81d8dull);  // 18.0905706230820
+    }
+}
+
+// ----- checkpoint history ---------------------------------------------------
+
+/// The run report's checkpoint_blocks lists the marks of snapshot writes
+/// that landed -- not the wave boundaries on_checkpoint sees.
+class CheckpointHistoryTest : public ::testing::Test {
+protected:
+    CheckpointHistoryTest() : dm_(toy_.nl, placement_delay_config(7)) {}
+    ~CheckpointHistoryTest() override {
+        fault::clear();
+        std::remove(snapshot_.c_str());
+        std::remove(report_.c_str());
+    }
+
+    /// One worker, `blocks` blocks of 20 traces; writes a report and
+    /// returns it with the run's progress.
+    std::pair<CampaignProgress, RunReport> run(std::size_t blocks,
+                                               CampaignRunOptions options) {
+        const std::size_t traces = blocks * 20;
+        options.report_path = report_;
+        ThreadPool pool(1);
+        TraceCampaignResult result = run_trace_campaign(
+            toy_workload(toy_, dm_, /*seed=*/3, traces, 20),
+            {traces, 20, /*seed=*/3, /*lanes=*/64}, options, pool);
+        std::optional<RunReport> report = read_run_report(report_);
+        EXPECT_TRUE(report.has_value());
+        return {std::move(result.progress), report.value_or(RunReport{})};
+    }
+
+    ToyXor toy_;
+    sim::DelayModel dm_;
+    std::string snapshot_ = ::testing::TempDir() + "glitchmask_history.gmsnap";
+    std::string report_ =
+        ::testing::TempDir() + "glitchmask_history.report.json";
+};
+
+TEST_F(CheckpointHistoryTest, NoSnapshotPathRecordsNoMarks) {
+    ::unsetenv("GLITCHMASK_CHECKPOINT_DIR");
+    std::vector<std::size_t> waves;
+    CampaignRunOptions options;
+    options.on_checkpoint = [&waves](std::size_t blocks) {
+        waves.push_back(blocks);
+    };
+    const auto [progress, report] = run(40, options);
+    // The hook still fires after every wave of the default 16-block cadence.
+    EXPECT_EQ(waves, (std::vector<std::size_t>{16, 32, 40}));
+    EXPECT_TRUE(progress.checkpoint_blocks.empty());
+    EXPECT_TRUE(report.checkpoint_blocks.empty());
+    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites), 0u);
+}
+
+TEST_F(CheckpointHistoryTest, OneMarkPerSnapshotWrite) {
+    CampaignRunOptions options;
+    options.checkpoint_path = snapshot_;
+    options.checkpoint_every = 4;
+    const auto [progress, report] = run(16, options);
+    const std::vector<std::uint64_t> marks{4, 8, 12, 16};
+    EXPECT_EQ(progress.checkpoint_blocks, marks);
+    EXPECT_EQ(report.checkpoint_blocks, marks);
+    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites),
+              marks.size());
+}
+
+TEST_F(CheckpointHistoryTest, NoMarksAfterWritesDegrade) {
+    // The first snapshot lands and the second hits a full disk; the run
+    // then writes no further snapshot (the report write succeeds).
+    fault::install(
+        fault::parse_fault_plan("atomic_file.fsync=enospc@after=1,count=1"));
+    CampaignRunOptions options;
+    options.checkpoint_path = snapshot_;
+    options.checkpoint_every = 4;
+    options.degrade_on_io_error = true;
+    const auto [progress, report] = run(16, options);
+    EXPECT_TRUE(progress.checkpoint_degraded);
+    EXPECT_EQ(progress.completed_blocks, 16u);
+    EXPECT_EQ(progress.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
+    EXPECT_EQ(report.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
+    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Attribution, TraceCampaignTest, ::testing::Bool(),

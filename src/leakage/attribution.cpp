@@ -194,47 +194,61 @@ void BatchAttributionProbe::on_toggles(
     // The recorder and the counters keep independent state, so the whole
     // batch can go to the recorder first.
     if (next_ != nullptr) next_->on_toggles(batch);
-    for (const sim::ToggleEntry& e : batch) count(e.net, e.time, e.toggled);
+    count(batch);
 }
 
 void BatchAttributionProbe::on_toggle(netlist::NetId net, sim::TimePs time,
                                       std::uint64_t values,
                                       std::uint64_t toggled) {
     if (next_ != nullptr) next_->on_toggle(net, time, values, toggled);
-    count(net, time, toggled);
+    const sim::ToggleEntry entry{net, time, values, toggled, 0};
+    count(std::span<const sim::ToggleEntry>(&entry, 1));
 }
 
-void BatchAttributionProbe::count(netlist::NetId net, sim::TimePs time,
-                                  std::uint64_t toggled) {
-    const std::uint32_t probe = plan_.probe_of(net);
-    if (probe == AttributionPlan::kUnwatched) return;
-    if (cur_window_ >= plan_.windows()) return;
-    if (time >= window_end_) {  // commit times never decrease in a group
-        // The cursor leaves one or more windows behind: their counters
-        // are final, so fold them while they are still cache-hot and
-        // clear the plane rows for the windows ahead.
-        flush_window();
-        do {
-            window_end_ += plan_.window_ps();
-            if (++cur_window_ >= plan_.windows()) return;
-        } while (time >= window_end_);
+void BatchAttributionProbe::count(std::span<const sim::ToggleEntry> batch) {
+    // One pass per batch, with the window cursor and the plan's bounds in
+    // locals: the deposit runs once per watched commit (millions of times
+    // per attributed DES campaign), so it makes no call per entry.
+    const std::size_t windows = plan_.windows();
+    const sim::TimePs window_ps = plan_.window_ps();
+    std::size_t cur_window = cur_window_;
+    sim::TimePs window_end = window_end_;
+    for (const sim::ToggleEntry& e : batch) {
+        const std::uint32_t probe = plan_.probe_of(e.net);
+        if (probe == AttributionPlan::kUnwatched) continue;
+        // Commit times never decrease in a group, so once the cursor is
+        // past the last window every later entry is dropped too.
+        if (cur_window >= windows) break;
+        if (e.time >= window_end) {
+            // The cursor leaves one or more windows behind: their
+            // counters are final, so fold them while they are still
+            // cache-hot and clear the plane rows for the windows ahead.
+            cur_window_ = cur_window;
+            flush_window();
+            do {
+                window_end += window_ps;
+            } while (++cur_window < windows && e.time >= window_end);
+            if (cur_window >= windows) break;
+        }
+        // Ripple-carry add of the toggled-lane mask through all the
+        // planes: branch-free, since whether the carry dies in plane 0,
+        // 1 or 2 is data-dependent and would mispredict.
+        std::uint64_t* planes = planes_.data() + probe * std::size_t{kPlanes};
+        std::uint64_t carry = e.toggled;
+        for (unsigned k = 0; k < kPlanes; ++k) {
+            const std::uint64_t plane = planes[k];
+            planes[k] = plane ^ carry;
+            carry &= plane;
+        }
+        if (carry != 0) {
+            // Carry out of the top plane: exactly the lanes that sat at
+            // 255 and wrapped to 0 -- pin them back (saturation).
+            for (unsigned k = 0; k < kPlanes; ++k) planes[k] |= carry;
+        }
+        touched_[probe / 64u] |= std::uint64_t{1} << (probe % 64u);
     }
-    // Ripple-carry add of the toggled-lane mask through all the planes:
-    // branch-free, since whether the carry dies in plane 0, 1 or 2 is
-    // data-dependent and would mispredict.
-    std::uint64_t* planes = planes_.data() + probe * std::size_t{kPlanes};
-    std::uint64_t carry = toggled;
-    for (unsigned k = 0; k < kPlanes; ++k) {
-        const std::uint64_t plane = planes[k];
-        planes[k] = plane ^ carry;
-        carry &= plane;
-    }
-    if (carry != 0) {
-        // Carry out of the top plane: exactly the lanes that sat at 255
-        // and wrapped to 0 -- pin them back (saturation).
-        for (unsigned k = 0; k < kPlanes; ++k) planes[k] |= carry;
-    }
-    touched_[probe / 64u] |= std::uint64_t{1} << (probe % 64u);
+    cur_window_ = cur_window;
+    window_end_ = window_end;
 }
 
 void BatchAttributionProbe::flush_window() {

@@ -269,7 +269,9 @@ public:
     void spill_block();
 
 private:
-    void count(netlist::NetId net, sim::TimePs time, std::uint64_t toggled);
+    /// Deposits the batch's watched entries into the active window's
+    /// planes, folding each window the cursor passes.
+    void count(std::span<const sim::ToggleEntry> batch);
     void flush_window();
 
     static constexpr unsigned kPlanes = plane_kernels::kPlanes;

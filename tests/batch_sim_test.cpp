@@ -6,8 +6,8 @@
 // bit-for-bit -- with inertial filtering on and off, and with energy
 // coupling on where the gadget has coupled pairs.  The last cases pin the
 // engine's time-slot buckets: a restart with events still queued,
-// overflow-heap events migrating into a non-empty slot, and same-time
-// pushes during a slot drain.
+// overflow-heap events migrating into a non-empty slot, same-time
+// pushes during a slot drain, and every slot size from 1 to 12 commits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -664,6 +664,160 @@ TEST(BatchSim, SameTimePushesDuringDrainMatchScalar) {
         toggles += scalar[lane].size();
     }
     EXPECT_GT(toggles, 0u);  // not vacuous
+}
+
+/// `n` registered inputs; each input and its flop feed an XOR, and each
+/// input ANDs with the next input's flop, so every commit has fanout.
+struct SlotCircuit {
+    core::Netlist nl;
+    std::vector<NetId> inputs;
+};
+
+SlotCircuit slot_circuit(unsigned n) {
+    SlotCircuit c;
+    std::vector<NetId> flops;
+    for (unsigned i = 0; i < n; ++i)
+        c.inputs.push_back(c.nl.input("in" + std::to_string(i)));
+    for (const NetId input : c.inputs) flops.push_back(c.nl.dff(input));
+    for (unsigned i = 0; i < n; ++i) {
+        (void)c.nl.xor2(c.inputs[i], flops[i]);
+        (void)c.nl.and2(c.inputs[i], flops[(i + 1) % n]);
+    }
+    c.nl.freeze();
+    return c;
+}
+
+TEST(BatchSim, EverySlotSizeMatchesScalar) {
+    // 1..12 commits land in one time slot, so the drain crosses the
+    // inline -> spill boundary whatever the inline record count per
+    // slot is.  Wire delays are zero: every commit pushes its fanout pin
+    // events into the slot being drained, so the slot also overflows
+    // mid-drain.  Part one launches n inputs (and, from the second edge
+    // on, n flops) on each clock edge.  Part two parks 2n drives past
+    // the ring horizon, then fills their slot with n same-time ring
+    // drives, so (once n passes the inline records) the overflow events
+    // migrate into a slot that has already spilled.  Part three starts
+    // a spill FIFO mid-drain while another slot holds one.
+    sim::DelayConfig config = sim::DelayConfig::spartan6();
+    config.wire_min_ps = 0;
+    config.wire_max_ps = 0;
+    constexpr std::size_t kEdges = 4;
+    for (unsigned n = 1; n <= 12; ++n) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const SlotCircuit c = slot_circuit(n);
+        const sim::DelayModel dm(c.nl, config);
+        const sim::ClockConfig clock{kPeriod};
+        Xoshiro256 rng(300 + n);
+        const auto bit = [](std::uint64_t word, unsigned lane) {
+            return ((word >> lane) & 1u) != 0;
+        };
+
+        // Part one: clock-edge launches.
+        std::vector<std::vector<std::uint64_t>> stim(kEdges);
+        for (auto& edge : stim)
+            for (unsigned i = 0; i < n; ++i) edge.push_back(rng());
+        std::vector<std::vector<ToggleRec>> scalar(sim::kBatchLanes);
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+            sim::ClockedSim sim(c.nl, dm, clock);
+            ScalarTee tee;
+            sim.engine().set_sink(&tee);
+            for (const auto& edge : stim) {
+                for (unsigned i = 0; i < n; ++i)
+                    sim.set_input(c.inputs[i], bit(edge[i], lane));
+                sim.step();
+            }
+            sim.step();  // the last inputs reach the flops
+            scalar[lane] = std::move(tee.records);
+        }
+        sim::CompiledClockedSim wide(c.nl, dm, sim::kBatchLanes, clock);
+        BatchTee wide_tee;
+        wide.set_sink(0, &wide_tee);
+        for (const auto& edge : stim) {
+            for (unsigned i = 0; i < n; ++i)
+                wide.set_input_word(c.inputs[i], 0, edge[i]);
+            wide.step();
+        }
+        wide.step();
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
+            ASSERT_EQ(wide_tee.lane(lane), scalar[lane]) << "lane " << lane;
+
+        // Part two: overflow events migrating into a spilled slot.
+        const TimePs t = 5 * sim::compile_netlist(c.nl, dm)->ring_size + 17;
+        std::vector<std::uint64_t> a, b, ring;
+        for (unsigned i = 0; i < n; ++i) {
+            a.push_back(rng());
+            b.push_back(rng());
+            ring.push_back(rng());
+        }
+        std::vector<std::vector<bool>> finals(sim::kBatchLanes);
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+            sim::EventSimulator engine(c.nl, dm);
+            ScalarTee tee;
+            engine.set_sink(&tee);
+            for (unsigned i = 0; i < n; ++i) {
+                engine.drive(c.inputs[i], bit(a[i], lane), t);
+                engine.drive(c.inputs[i], bit(b[i], lane), t);
+            }
+            engine.run_until(t - 5);
+            for (unsigned i = 0; i < n; ++i)
+                engine.drive(c.inputs[i], bit(ring[i], lane), t);
+            engine.run_to_quiescence();
+            scalar[lane] = std::move(tee.records);
+            for (NetId net = 0; net < c.nl.size(); ++net)
+                finals[lane].push_back(engine.value(net));
+        }
+        const auto engine = raw_engine(c.nl, dm);
+        BatchTee tee;
+        engine->set_sink(0, &tee);
+        for (unsigned i = 0; i < n; ++i) {
+            engine->drive_chunk(c.inputs[i], 0, a[i], sim::kAllLanes, t);
+            engine->drive_chunk(c.inputs[i], 0, b[i], sim::kAllLanes, t);
+        }
+        engine->run_until(t - 5);
+        for (unsigned i = 0; i < n; ++i)
+            engine->drive_chunk(c.inputs[i], 0, ring[i], sim::kAllLanes, t);
+        engine->run_to_quiescence();
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+            SCOPED_TRACE("lane " + std::to_string(lane));
+            ASSERT_EQ(tee.lane(lane), scalar[lane]);
+            for (NetId net = 0; net < c.nl.size(); ++net)
+                ASSERT_EQ(bit(engine->word(net, 0), lane), finals[lane][net])
+                    << "net " << net;
+        }
+        for (unsigned i = 0; i < n; ++i)
+            EXPECT_EQ(engine->word(c.inputs[i], 0), ring[i]);
+
+        // Part three: a drain that starts its own spill FIFO while a later
+        // slot's FIFO is already queued.  2n drives wait at t0 + 40, then
+        // n drives at t0 grow their slot to 4n events mid-drain; some n
+        // in 1..12 puts 2n past the inline records and n within them.
+        constexpr TimePs t0 = 1000;
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane) {
+            sim::EventSimulator scalar_engine(c.nl, dm);
+            ScalarTee scalar_tee;
+            scalar_engine.set_sink(&scalar_tee);
+            for (unsigned i = 0; i < n; ++i) {
+                scalar_engine.drive(c.inputs[i], bit(a[i], lane), t0 + 40);
+                scalar_engine.drive(c.inputs[i], bit(b[i], lane), t0 + 40);
+            }
+            for (unsigned i = 0; i < n; ++i)
+                scalar_engine.drive(c.inputs[i], bit(ring[i], lane), t0);
+            scalar_engine.run_to_quiescence();
+            scalar[lane] = std::move(scalar_tee.records);
+        }
+        const auto fresh = raw_engine(c.nl, dm);
+        BatchTee fresh_tee;
+        fresh->set_sink(0, &fresh_tee);
+        for (unsigned i = 0; i < n; ++i) {
+            fresh->drive_chunk(c.inputs[i], 0, a[i], sim::kAllLanes, t0 + 40);
+            fresh->drive_chunk(c.inputs[i], 0, b[i], sim::kAllLanes, t0 + 40);
+        }
+        for (unsigned i = 0; i < n; ++i)
+            fresh->drive_chunk(c.inputs[i], 0, ring[i], sim::kAllLanes, t0);
+        fresh->run_to_quiescence();
+        for (unsigned lane = 0; lane < sim::kBatchLanes; ++lane)
+            ASSERT_EQ(fresh_tee.lane(lane), scalar[lane]) << "lane " << lane;
+    }
 }
 
 TEST(BatchSim, SequenceCampaignBitIdentical) {

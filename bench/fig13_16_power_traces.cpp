@@ -26,7 +26,7 @@ void emit(const char* name, const char* figure, des::CoreFlavor flavor,
     options.flavor = flavor;
     const des::MaskedDesCore core(options);
     const std::vector<double> mean =
-        eval::mean_power_trace(core, traces, /*seed=*/5);
+        eval::mean_power_trace(core, traces, /*seed=*/5).mean;
 
     double peak = 0.0;
     double total = 0.0;

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     const eval::GadgetTvlaResult result = eval::run_gadget_tvla(config);
     std::printf("TVLA, %zu traces: max|t1| = %.2f @ cycle %zu,"
                 " max|t2| = %.2f -> %s\n",
-                result.completed_traces, result.max_abs_t1,
+                result.progress.completed_traces, result.max_abs_t1,
                 result.argmax_cycle, result.max_abs_t2,
                 result.leaks_first_order ? "LEAKS (1st order)" : "clean");
 

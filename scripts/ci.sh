@@ -30,8 +30,8 @@
 #     to end on hosts whose default level is AVX-512;
 #   * bench/campaign_throughput's overhead/speedup figures are bounds-
 #     checked through `glitchmask_ledger gate` (telemetry <= 3%,
-#     tracing-off <= 1%, tracing-on <= 5%, attribution-off <= 1%,
-#     attribution-on <= 30%, compiled64_speedup_1worker >= 16x -- the
+#     tracing-on <= 5%, attribution-on <= 30%,
+#     compiled64_speedup_1worker >= 16x -- the
 #     64-lane engine over the scalar reference, twice the 8.39x the
 #     retired bitsliced event engine recorded -- stats_speedup >= 1.5x);
 #   * the ledger regression radar is exercised end to end: the bench
@@ -108,14 +108,13 @@ for preset in "${presets[@]}"; do
 
     echo "==> release extras: bench overhead + speedup gates"
     # 256 traces: large enough that the per-block amortizations (spill
-    # staging, checkpoint cadence) are representative and the off-vs-off
-    # noise floor sits well under the 1% bar.
+    # staging, checkpoint cadence) are representative.  That disabled
+    # tracing, telemetry and attribution cost nothing is a deterministic
+    # ctest (trace_test), not a timed gate.
     (cd build/bench && GLITCHMASK_TRACES=256 ./campaign_throughput > /dev/null)
     build/src/glitchmask_ledger gate build/bench/BENCH_batch_sim.json \
       --max telemetry_overhead=0.03 \
-      --max trace_off_overhead=0.01 \
       --max trace_overhead=0.05 \
-      --max attribution_off_overhead=0.01 \
       --max attribution_overhead=0.30 \
       --min compiled64_speedup_1worker=16.0 \
       --min stats_speedup=1.5

@@ -94,10 +94,7 @@ SequenceLeakResult SequenceHarness::run(const core::InputSequence& sequence,
     result.max_abs_t2 = campaign.max_abs_t[2];
     result.leaks_first_order = result.max_abs_t1 > leakage::kTvlaThreshold;
     result.expected_to_leak = core::sequence_expected_to_leak(sequence);
-    result.completed_traces = campaign.progress.completed_traces;
-    result.cancelled = campaign.progress.cancelled;
-    result.resumed = campaign.progress.resumed;
-    result.attribution = std::move(campaign.attribution);
+    static_cast<CampaignSummary&>(result) = std::move(campaign);
     return result;
 }
 
@@ -121,7 +118,7 @@ std::vector<SequenceLeakResult> run_all_sequences(
         results.push_back(harness.run(sequence, config, pool));
         // A fired cancel token stops the whole sweep: later sequences
         // would each spin up, notice the token and return empty results.
-        if (results.back().cancelled) break;
+        if (results.back().progress.cancelled) break;
     }
     return results;
 }

@@ -5,7 +5,9 @@
 // per cycle.  The campaign itself -- sharding, lanes, checkpoints,
 // telemetry, attribution -- is the shared pipeline of
 // eval/trace_campaign.hpp; this driver contributes the sequence
-// workload: its circuit, stimulus and drive schedule.  Every trace
+// workload: its circuit, stimulus and drive schedule.  Its config is the
+// shared CampaignSettings plus the replica count, and its result the
+// shared CampaignSummary plus the per-sequence verdict.  Every trace
 // derives its randomness from (seed, trace index), so results are
 // bit-identical at any worker count and lane width.
 #pragma once
@@ -15,7 +17,7 @@
 #include "core/circuits.hpp"
 #include "eval/checkpoint.hpp"
 #include "eval/parallel_campaign.hpp"
-#include "leakage/attribution.hpp"
+#include "eval/trace_campaign.hpp"
 #include "leakage/tvla.hpp"
 #include "power/power_model.hpp"
 #include "sim/clocked.hpp"
@@ -26,19 +28,11 @@ namespace glitchmask::eval {
 
 // ----- Table I: safe input sequences of secAND2 -------------------------
 
-struct SequenceExperimentConfig {
+struct SequenceExperimentConfig : CampaignSettings {
+    SequenceExperimentConfig()
+        : CampaignSettings{.traces = 4000, .noise_sigma = 1.0} {}
+
     unsigned replicas = 16;       // parallel secAND2 instances (SNR)
-    std::size_t traces = 4000;    // per sequence
-    double noise_sigma = 1.0;     // measurement noise
-    std::uint64_t seed = 1;       // masks, classes, noise
-    std::uint64_t placement_seed = 1;  // delay-model jitter
-    int max_test_order = 2;
-    unsigned workers = 0;         // campaign threads; 0 = auto (env/cores)
-    std::size_t block_size = 64;  // shard granularity (part of the result's
-                                  // identity -- see parallel_campaign.hpp)
-    unsigned lanes = 0;           // traces per pass: 1 = scalar, 64..512 =
-                                  // lane engine; 0 = auto (env, default 64).
-                                  // Both paths are bit-identical.
     /// Crash-safe runtime knobs (checkpoint path/cadence, cancel token);
     /// the default leaves the runtime off.  Each sequence checkpoints to
     /// its own file (the sequence is part of the campaign id and the
@@ -46,21 +40,13 @@ struct SequenceExperimentConfig {
     CampaignRunOptions run;
 };
 
-struct SequenceLeakResult {
+struct SequenceLeakResult : CampaignSummary {
     core::InputSequence sequence{};
     double max_abs_t1 = 0.0;      // first-order, max over cycles
     std::size_t argmax_cycle = 0;
     double max_abs_t2 = 0.0;      // second-order, for reporting
     bool leaks_first_order = false;
     bool expected_to_leak = false;
-    /// Traces folded into the statistics (== config.traces unless the
-    /// campaign was cancelled mid-run).
-    std::size_t completed_traces = 0;
-    bool cancelled = false;
-    bool resumed = false;
-    /// Per-net culprit ranking; disabled (empty) unless
-    /// config.run.attribution / GLITCHMASK_ATTRIBUTION was set.
-    leakage::AttributionResult attribution;
 };
 
 /// Prebuilt secAND2 harness: the circuit and its delay annotation do not

@@ -138,24 +138,19 @@ DesTvlaResult run_des_tvla(const des::MaskedDesCore& core,
     DesTvlaResult result(samples, config.max_test_order);
     result.samples = samples;
     result.traces = config.traces;
-    result.completed_traces = campaign.progress.completed_traces;
-    result.cancelled = campaign.progress.cancelled;
-    result.resumed = campaign.progress.resumed;
     result.toggles = campaign.toggles;
     result.max_abs_t = campaign.max_abs_t;
     result.argmax = campaign.argmax;
-    result.attribution = std::move(campaign.attribution);
     result.campaign = campaign.bank.to_campaign();
+    static_cast<CampaignSummary&>(result) = std::move(campaign);
     return result;
 }
 
-std::vector<double> mean_power_trace(const des::MaskedDesCore& core,
-                                     std::size_t traces, std::uint64_t seed,
-                                     std::uint64_t placement_seed,
-                                     unsigned workers, unsigned lanes,
-                                     const CampaignRunOptions& run,
-                                     CampaignProgress* progress,
-                                     leakage::AttributionResult* attribution) {
+MeanPowerResult mean_power_trace(const des::MaskedDesCore& core,
+                                 std::size_t traces, std::uint64_t seed,
+                                 std::uint64_t placement_seed,
+                                 unsigned workers, unsigned lanes,
+                                 const CampaignRunOptions& run) {
     const sim::DelayModel dm(core.nl(), placement_delay_config(placement_seed));
     const std::size_t samples = core.total_cycles();
     Workload workload{
@@ -183,16 +178,15 @@ std::vector<double> mean_power_trace(const des::MaskedDesCore& core,
     TraceCampaignResult campaign = run_trace_campaign(
         workload, {traces, /*block_size=*/64, seed, lanes}, run, pool);
 
-    std::vector<double> mean = std::move(campaign.sum);
+    MeanPowerResult result;
+    result.mean = std::move(campaign.sum);
     // A cancelled run averages over the traces it actually folded in.
     const std::size_t denom = campaign.progress.completed_traces > 0
                                   ? campaign.progress.completed_traces
                                   : traces;
-    for (double& v : mean) v /= static_cast<double>(denom);
-    if (progress != nullptr) *progress = campaign.progress;
-    if (attribution != nullptr && attribution_enabled(run))
-        *attribution = std::move(campaign.attribution);
-    return mean;
+    for (double& v : result.mean) v /= static_cast<double>(denom);
+    static_cast<CampaignSummary&>(result) = std::move(campaign);
+    return result;
 }
 
 }  // namespace glitchmask::eval

@@ -236,10 +236,7 @@ GadgetTvlaResult GadgetHarness::run(const GadgetTvlaConfig& config,
     result.argmax_cycle = campaign.argmax[1];
     result.max_abs_t2 = campaign.max_abs_t[2];
     result.leaks_first_order = result.max_abs_t1 > leakage::kTvlaThreshold;
-    result.completed_traces = campaign.progress.completed_traces;
-    result.cancelled = campaign.progress.cancelled;
-    result.resumed = campaign.progress.resumed;
-    result.attribution = std::move(campaign.attribution);
+    static_cast<CampaignSummary&>(result) = std::move(campaign);
     return result;
 }
 

@@ -9,6 +9,10 @@
 // what makes the paper's spatial argument checkable: attribute the
 // Trichina campaign and the top-ranked net is the cross-domain product
 // chain; attribute secAND2-FF/PD and no net crosses the threshold.
+//
+// The config is the shared CampaignSettings (eval/trace_campaign.hpp) at
+// the zoo's campaign size and noise, plus the gadget and replica count;
+// the result is the shared CampaignSummary plus the verdict.
 #pragma once
 
 #include <array>
@@ -50,32 +54,21 @@ inline constexpr GadgetKind kAllGadgets[] = {
 
 inline constexpr unsigned kMaxFreshBits = 3;
 
-struct GadgetTvlaConfig {
+struct GadgetTvlaConfig : CampaignSettings {
+    GadgetTvlaConfig()
+        : CampaignSettings{.traces = 12000, .noise_sigma = 0.5} {}
+
     GadgetKind gadget = GadgetKind::Naive;
     unsigned replicas = 16;       // parallel instances (SNR, like the zoo)
-    std::size_t traces = 12000;   // the zoo's campaign size
-    double noise_sigma = 0.5;     // measurement noise on the power trace
-    std::uint64_t seed = 1;       // classes, masks, fresh bits, noise
-    std::uint64_t placement_seed = 1;  // delay-model jitter
-    int max_test_order = 2;
-    unsigned workers = 0;         // 0 = auto (env / cores)
-    std::size_t block_size = 64;
-    unsigned lanes = 0;           // 1 scalar / 64..512 lanes / 0 auto
     CampaignRunOptions run;       // checkpointing, reports, attribution
 };
 
-struct GadgetTvlaResult {
+struct GadgetTvlaResult : CampaignSummary {
     GadgetKind gadget = GadgetKind::Naive;
     double max_abs_t1 = 0.0;
     std::size_t argmax_cycle = 0;
     double max_abs_t2 = 0.0;
     bool leaks_first_order = false;
-    std::size_t completed_traces = 0;
-    bool cancelled = false;
-    bool resumed = false;
-    /// Per-net culprit ranking; disabled unless config.run.attribution /
-    /// GLITCHMASK_ATTRIBUTION was set.
-    leakage::AttributionResult attribution;
 };
 
 /// Per-trace stimulus, a pure function of (seed, trace index): class

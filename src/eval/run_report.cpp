@@ -505,7 +505,7 @@ RunReport decode_run_report(const JsonValue& root) {
         throw std::runtime_error("run report: unexpected schema '" +
                                  schema.string + "'");
     const std::uint64_t version = require_u64(root, "version");
-    if (version < 1 || version > kRunReportVersion)
+    if (version != kRunReportVersion)
         throw std::runtime_error("run report: unsupported version " +
                                  std::to_string(version));
 
@@ -519,12 +519,9 @@ RunReport decode_run_report(const JsonValue& root) {
     report.fingerprint.payload = require_u64(fp, "payload");
     report.workers = static_cast<unsigned>(require_u64(root, "workers"));
     report.lanes = static_cast<unsigned>(require_u64(root, "lanes"));
-    // v4 attribution fields; absent in v1-v3 files.
-    if (const JsonValue* revision = root.find("revision"))
-        report.revision = revision->string;
-    if (const JsonValue* hostname = root.find("hostname"))
-        report.hostname = hostname->string;
-    if (const JsonValue* utc = root.find("utc")) report.utc = utc->string;
+    report.revision = require(root, "revision").string;
+    report.hostname = require(root, "hostname").string;
+    report.utc = require(root, "utc").string;
     report.wall_seconds = require(root, "wall_seconds").as_number();
     report.cpu_seconds = require(root, "cpu_seconds").as_number();
     report.telemetry_enabled = require(root, "telemetry_enabled").boolean;
@@ -535,7 +532,7 @@ RunReport decode_run_report(const JsonValue& root) {
         if (const JsonValue* value = counters.find(name))
             report.counters.values[i] = value->unsigned_value;
     }
-    // v3 section; absent in v1/v2 files and in histogram-free runs.
+    // Absent in histogram-free runs.
     if (const JsonValue* histograms = root.find("histograms")) {
         for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
             const char* name = telemetry::histogram_name(
@@ -569,7 +566,7 @@ RunReport decode_run_report(const JsonValue& root) {
         report.checkpoint_blocks.push_back(mark.unsigned_value);
     for (const auto& [name, value] : require(root, "metrics").object)
         report.metrics.emplace_back(name, value.as_number());
-    // v2 section; absent in v1 files and in unattributed v2 runs.
+    // Absent in unattributed runs.
     if (const JsonValue* attr = root.find("attribution")) {
         report.attribution.enabled = true;
         report.attribution.top_k = require_u64(*attr, "top_k");
@@ -591,7 +588,7 @@ RunReport decode_run_report(const JsonValue& root) {
             report.attribution.nets.push_back(std::move(net));
         }
     }
-    // v3 section; absent in v1/v2 files and in untraced runs.
+    // Absent in untraced runs.
     if (const JsonValue* spans = root.find("spans")) {
         for (const JsonValue& entry : spans->array) {
             trace::SpanSummary span;

@@ -43,8 +43,8 @@ inline constexpr const char* kRunReportSchema = "glitchmask.run_report";
 /// "spans" (per-name trace rollup) sections; v4 adds run attribution --
 /// "revision", "hostname", "utc" (support/runenv.hpp) -- so the cross-run
 /// ledger (obs/ledger.hpp) can key history by where and when a report was
-/// produced.  The reader accepts v1-v3 files -- absent sections/fields
-/// read back empty/disabled.
+/// produced.  The reader accepts v4 only; its optional sections read back
+/// empty/disabled when absent.
 inline constexpr std::uint32_t kRunReportVersion = 4;
 
 /// One culprit row of the report's attribution section (a flat copy of

@@ -10,6 +10,13 @@
 // A Workload carries only what differs between experiments: the circuit
 // and its timing, the campaign identity, two drives and a TraceFold.
 //
+// Every driver's config inherits CampaignSettings (the eight knobs they
+// all share, with per-driver defaults) and every result inherits
+// CampaignSummary (the runner's progress and attribution), so a driver
+// hands its settings to the runner and takes its summary back in one
+// assignment each, and the service maps a request onto any driver the
+// same way.
+//
 // Lane group g runs traces [first, first + count) on lanes 0..count-1 and
 // the fold walks them in lane order, so every accumulator sees the scalar
 // body's addend sequence: scalar, every lane width, every worker count and
@@ -107,6 +114,36 @@ struct Workload {
         drive_trace = {};
 };
 
+/// The knobs every campaign driver shares.  Each driver config (and
+/// service::CampaignRequest) inherits them and sets its own defaults.
+struct CampaignSettings {
+    std::size_t traces = 0;
+    /// Gaussian measurement noise added to every power sample.
+    double noise_sigma = 0.0;
+    /// Seeds the per-trace stimulus and noise streams.
+    std::uint64_t seed = 1;
+    /// Seeds the delay model's per-instance jitter.
+    std::uint64_t placement_seed = 1;
+    /// TVLA orders 1..max_test_order (at most 3).
+    int max_test_order = 2;
+    /// Campaign threads; 0 = auto (GLITCHMASK_WORKERS / core count).
+    unsigned workers = 0;
+    /// Shard granularity, part of the campaign identity: results are
+    /// bit-identical at any worker count (see parallel_campaign.hpp).
+    std::size_t block_size = 64;
+    /// Traces per pass: 1 = scalar, 64..512 = lane engine, 0 = auto
+    /// (GLITCHMASK_LANES, default 64).  Every width is bit-identical.
+    unsigned lanes = 0;
+};
+
+/// What every campaign result reports besides its statistics: how far the
+/// run got and, with attribution on, the per-net culprit ranking
+/// (disabled otherwise).
+struct CampaignSummary {
+    CampaignProgress progress;
+    leakage::AttributionResult attribution;
+};
+
 struct TraceCampaignConfig {
     std::size_t traces = 0;
     std::size_t block_size = 64;
@@ -116,7 +153,7 @@ struct TraceCampaignConfig {
     unsigned lanes = 0;
 };
 
-struct TraceCampaignResult {
+struct TraceCampaignResult : CampaignSummary {
     /// TVLA folds: the merged statistics.
     leakage::MomentBank bank;
     /// Mean-power folds: per-bin sums of the noiseless traces.
@@ -126,9 +163,6 @@ struct TraceCampaignResult {
     /// max |t| and its sample per order 1..max_test_order (index 0 unused).
     std::array<double, 4> max_abs_t{};
     std::array<std::size_t, 4> argmax{};
-    /// Per-net culprit ranking; disabled unless attribution was on.
-    leakage::AttributionResult attribution;
-    CampaignProgress progress;
 };
 
 /// Runs `workload` for config.traces traces on `pool` with the crash-safe

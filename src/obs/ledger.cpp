@@ -450,12 +450,8 @@ std::vector<LedgerEntry> entries_from_bench_json(const JsonValue& json) {
         }
         if (const JsonValue* v = row.find("oversubscribed"))
             entry.metrics.emplace_back("oversubscribed", v->boolean ? 1.0 : 0.0);
-        // "phases_cpu" is the honest name (per-phase CPU seconds summed
-        // across workers); "phases" is the pre-rename alias older bench
-        // artifacts carry.
-        const JsonValue* phases = row.find("phases_cpu");
-        if (phases == nullptr) phases = row.find("phases");
-        if (phases != nullptr) {
+        // Per-phase CPU seconds, summed across workers.
+        if (const JsonValue* phases = row.find("phases_cpu")) {
             for (const auto& [name, value] : phases->object) {
                 LedgerPhase phase;
                 phase.name = name;

@@ -83,49 +83,52 @@ std::optional<des::CoreFlavor> parse_flavor(std::string_view name) noexcept {
     return std::nullopt;
 }
 
-eval::SequenceExperimentConfig sequence_config(const CampaignRequest& r) {
-    eval::SequenceExperimentConfig config;
-    config.replicas = r.replicas;
-    config.traces = r.traces;
-    config.noise_sigma = r.noise_sigma;
-    config.seed = r.seed;
-    config.placement_seed = r.placement_seed;
-    config.max_test_order = r.max_test_order;
-    config.workers = r.workers;
-    config.block_size = r.block_size;
-    config.lanes = r.lanes;
+/// `Config` at its defaults with the request's settings and `run`; the
+/// caller adds the kind's extras.
+template <class Config>
+Config driver_config(const CampaignRequest& request,
+                     eval::CampaignRunOptions run = {}) {
+    Config config;
+    static_cast<eval::CampaignSettings&>(config) = request;
+    config.run = std::move(run);
     return config;
 }
 
-eval::GadgetTvlaConfig gadget_config(const CampaignRequest& r) {
-    eval::GadgetTvlaConfig config;
+eval::SequenceExperimentConfig sequence_config(
+    const CampaignRequest& r, eval::CampaignRunOptions run = {}) {
+    auto config =
+        driver_config<eval::SequenceExperimentConfig>(r, std::move(run));
+    config.replicas = r.replicas;
+    return config;
+}
+
+eval::GadgetTvlaConfig gadget_config(const CampaignRequest& r,
+                                     eval::CampaignRunOptions run = {}) {
+    auto config = driver_config<eval::GadgetTvlaConfig>(r, std::move(run));
     config.gadget = r.gadget;
     config.replicas = r.replicas;
-    config.traces = r.traces;
-    config.noise_sigma = r.noise_sigma;
-    config.seed = r.seed;
-    config.placement_seed = r.placement_seed;
-    config.max_test_order = r.max_test_order;
-    config.workers = r.workers;
-    config.block_size = r.block_size;
-    config.lanes = r.lanes;
     return config;
 }
 
-eval::DesTvlaConfig des_config(const CampaignRequest& r) {
-    eval::DesTvlaConfig config;
-    config.traces = r.traces;
-    config.noise_sigma = r.noise_sigma;
-    config.seed = r.seed;
-    config.placement_seed = r.placement_seed;
+eval::DesTvlaConfig des_config(const CampaignRequest& r,
+                               eval::CampaignRunOptions run = {}) {
+    auto config = driver_config<eval::DesTvlaConfig>(r, std::move(run));
     config.prng_on = r.prng_on;
     config.fixed_plaintext = r.fixed_plaintext;
     config.key = r.key;
-    config.max_test_order = r.max_test_order;
-    config.workers = r.workers;
-    config.block_size = r.block_size;
-    config.lanes = r.lanes;
     return config;
+}
+
+/// The headline metrics of the two single-gadget TVLA kinds.
+template <class Result>
+std::vector<std::pair<std::string, double>> first_order_metrics(
+    const Result& result) {
+    return {
+        {"max_abs_t_order1", result.max_abs_t1},
+        {"max_abs_t_order2", result.max_abs_t2},
+        {"argmax_cycle", static_cast<double>(result.argmax_cycle)},
+        {"leaks_first_order", result.leaks_first_order ? 1.0 : 0.0},
+    };
 }
 
 }  // namespace
@@ -151,33 +154,20 @@ std::optional<CampaignKind> parse_campaign_kind(std::string_view name) noexcept 
 CampaignRequest default_request(CampaignKind kind) {
     CampaignRequest request;
     request.kind = kind;
+    eval::CampaignSettings& settings = request;
     switch (kind) {
-        case CampaignKind::SequenceTvla: {
-            const eval::SequenceExperimentConfig defaults;
-            request.traces = defaults.traces;
-            request.noise_sigma = defaults.noise_sigma;
-            request.max_test_order = defaults.max_test_order;
-            request.replicas = defaults.replicas;
+        case CampaignKind::SequenceTvla:
+            settings = eval::SequenceExperimentConfig{};
             break;
-        }
-        case CampaignKind::GadgetTvla: {
-            const eval::GadgetTvlaConfig defaults;
-            request.traces = defaults.traces;
-            request.noise_sigma = defaults.noise_sigma;
-            request.max_test_order = defaults.max_test_order;
-            request.replicas = defaults.replicas;
+        case CampaignKind::GadgetTvla:
+            settings = eval::GadgetTvlaConfig{};
             break;
-        }
-        case CampaignKind::DesTvla: {
-            const eval::DesTvlaConfig defaults;
-            request.traces = defaults.traces;
-            request.noise_sigma = defaults.noise_sigma;
-            request.max_test_order = defaults.max_test_order;
+        case CampaignKind::DesTvla:
+            settings = eval::DesTvlaConfig{};
             break;
-        }
         case CampaignKind::MeanPower:
+            // mean_power_trace has no config; it adds no noise.
             request.traces = 256;
-            request.noise_sigma = 0.0;  // mean power adds no noise
             break;
     }
     return request;
@@ -310,66 +300,35 @@ CampaignOutcome run_campaign_request(const CampaignRequest& request,
     CampaignOutcome outcome;
     outcome.fingerprint = request_fingerprint(request);
     outcome.total_traces = request.traces;
-
-    // The degradation flags live in CampaignProgress, which only
-    // mean_power surfaces; observe them uniformly through the hook.
-    const auto forward = run.on_degraded;
-    run.on_degraded = [&outcome, forward](const char* what,
-                                          const std::string& detail) {
-        if (std::string_view(what) == "checkpoint_degraded")
-            outcome.checkpoint_degraded = true;
-        else
-            outcome.snapshot_discarded = true;
-        if (forward) forward(what, detail);
-    };
-
+    eval::CampaignProgress progress;
     switch (request.kind) {
         case CampaignKind::SequenceTvla: {
-            eval::SequenceExperimentConfig config = sequence_config(request);
-            config.run = run;
             const eval::SequenceLeakResult result =
-                eval::run_sequence_experiment(request.sequence, config);
-            outcome.completed_traces = result.completed_traces;
-            outcome.cancelled = result.cancelled;
-            outcome.resumed = result.resumed;
-            outcome.metrics = {
-                {"max_abs_t_order1", result.max_abs_t1},
-                {"max_abs_t_order2", result.max_abs_t2},
-                {"argmax_cycle", static_cast<double>(result.argmax_cycle)},
-                {"leaks_first_order", result.leaks_first_order ? 1.0 : 0.0},
-            };
+                eval::run_sequence_experiment(
+                    request.sequence, sequence_config(request, std::move(run)));
+            progress = result.progress;
+            outcome.metrics = first_order_metrics(result);
             break;
         }
         case CampaignKind::GadgetTvla: {
-            eval::GadgetTvlaConfig config = gadget_config(request);
-            config.run = run;
-            const eval::GadgetTvlaResult result = eval::run_gadget_tvla(config);
-            outcome.completed_traces = result.completed_traces;
-            outcome.cancelled = result.cancelled;
-            outcome.resumed = result.resumed;
-            outcome.metrics = {
-                {"max_abs_t_order1", result.max_abs_t1},
-                {"max_abs_t_order2", result.max_abs_t2},
-                {"argmax_cycle", static_cast<double>(result.argmax_cycle)},
-                {"leaks_first_order", result.leaks_first_order ? 1.0 : 0.0},
-            };
+            const eval::GadgetTvlaResult result =
+                eval::run_gadget_tvla(gadget_config(request, std::move(run)));
+            progress = result.progress;
+            outcome.metrics = first_order_metrics(result);
             break;
         }
         case CampaignKind::DesTvla: {
-            eval::DesTvlaConfig config = des_config(request);
-            config.run = run;
             const des::MaskedDesCore core(
                 des::MaskedDesOptions{.flavor = request.flavor});
-            const eval::DesTvlaResult result = eval::run_des_tvla(core, config);
-            outcome.completed_traces = result.completed_traces;
-            outcome.cancelled = result.cancelled;
-            outcome.resumed = result.resumed;
+            const eval::DesTvlaResult result = eval::run_des_tvla(
+                core, des_config(request, std::move(run)));
+            progress = result.progress;
             outcome.metrics = {
                 {"samples", static_cast<double>(result.samples)},
                 {"toggles", static_cast<double>(result.toggles)},
             };
             for (int order = 1;
-                 order <= config.max_test_order && order <= 3; ++order) {
+                 order <= request.max_test_order && order <= 3; ++order) {
                 char name[32];
                 std::snprintf(name, sizeof name, "max_abs_t_order%d", order);
                 outcome.metrics.emplace_back(
@@ -380,28 +339,29 @@ CampaignOutcome run_campaign_request(const CampaignRequest& request,
         case CampaignKind::MeanPower: {
             const des::MaskedDesCore core(
                 des::MaskedDesOptions{.flavor = request.flavor});
-            eval::CampaignProgress progress;
-            const std::vector<double> trace = eval::mean_power_trace(
+            const eval::MeanPowerResult result = eval::mean_power_trace(
                 core, request.traces, request.seed, request.placement_seed,
-                request.workers, request.lanes, run, &progress);
-            outcome.completed_traces = progress.completed_traces;
-            outcome.cancelled = progress.cancelled;
-            outcome.resumed = progress.resumed;
-            outcome.checkpoint_degraded |= progress.checkpoint_degraded;
-            outcome.snapshot_discarded |= progress.snapshot_discarded;
+                request.workers, request.lanes, run);
+            progress = result.progress;
             double sum = 0.0, peak = 0.0;
-            for (const double v : trace) {
+            for (const double v : result.mean) {
                 sum += v;
                 if (v > peak) peak = v;
             }
             outcome.metrics = {
-                {"samples", static_cast<double>(trace.size())},
-                {"mean_power", trace.empty() ? 0.0 : sum / trace.size()},
+                {"samples", static_cast<double>(result.mean.size())},
+                {"mean_power",
+                 result.mean.empty() ? 0.0 : sum / result.mean.size()},
                 {"peak_power", peak},
             };
             break;
         }
     }
+    outcome.completed_traces = progress.completed_traces;
+    outcome.cancelled = progress.cancelled;
+    outcome.resumed = progress.resumed;
+    outcome.checkpoint_degraded = progress.checkpoint_degraded;
+    outcome.snapshot_discarded = progress.snapshot_discarded;
     return outcome;
 }
 

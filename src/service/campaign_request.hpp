@@ -1,12 +1,15 @@
 // The service-level campaign request: one JSON-typable description that
 // covers all four evaluation drivers.
 //
-// The daemon (and its state file) needs a uniform job currency; the
-// drivers each grew their own config struct.  CampaignRequest is the
-// union the service accepts over the wire: a kind tag, the knobs all
-// drivers share (traces, seed, noise, block plan), and the per-kind
-// extras (sequence, gadget, DES flavor/key).  decode_request() applies
-// the *driver's* defaults for absent fields, so a submit line like
+// The daemon (and its state file) needs a uniform job currency.
+// CampaignRequest is the union the service accepts over the wire: a kind
+// tag, the eval::CampaignSettings every driver config inherits (traces,
+// seed, noise, block plan, ...), and the per-kind extras (sequence,
+// gadget, DES flavor/key).  Running a request copies its settings into
+// the driver's config in one assignment, adds the kind's extras, and
+// reads every outcome progress flag from the driver result's
+// eval::CampaignSummary.  decode_request() applies the *driver's*
+// defaults for absent fields, so a submit line like
 // {"op":"submit","kind":"gadget_tvla","gadget":"trichina"} runs exactly
 // the campaign run_gadget_tvla would run.
 //
@@ -30,6 +33,7 @@
 #include "eval/des_experiments.hpp"
 #include "eval/gadget_tvla.hpp"
 #include "eval/run_report.hpp"
+#include "eval/trace_campaign.hpp"
 
 namespace glitchmask::service {
 
@@ -40,21 +44,11 @@ enum class CampaignKind { SequenceTvla, GadgetTvla, DesTvla, MeanPower };
 [[nodiscard]] std::optional<CampaignKind> parse_campaign_kind(
     std::string_view name) noexcept;
 
-struct CampaignRequest {
+/// The settings' defaults are per-kind; see default_request.
+struct CampaignRequest : eval::CampaignSettings {
     CampaignKind kind = CampaignKind::GadgetTvla;
     /// Scheduling priority: higher runs first; ties run in submit order.
     int priority = 0;
-
-    // Knobs shared by every driver (defaults are per-kind; see
-    // default_request).
-    std::size_t traces = 0;
-    double noise_sigma = 0.0;
-    std::uint64_t seed = 1;
-    std::uint64_t placement_seed = 1;
-    int max_test_order = 2;
-    std::size_t block_size = 64;
-    unsigned lanes = 0;    // 0 = auto
-    unsigned workers = 0;  // campaign threads per job; 0 = auto
 
     // SequenceTvla
     core::InputSequence sequence{core::ShareId::X0, core::ShareId::Y0,

@@ -1,90 +1,18 @@
 #include "support/runenv.hpp"
 
 #include <ctime>
-#include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
+#include "glitchmask_build_revision.hpp"  // generated at build time
 #include "support/env.hpp"
 
 namespace glitchmask {
 
-namespace {
-
-/// First line of `path` with trailing whitespace removed; "" when the
-/// file cannot be read.
-std::string read_first_line(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) return {};
-    std::string line;
-    std::getline(in, line);
-    while (!line.empty() &&
-           (line.back() == '\n' || line.back() == '\r' || line.back() == ' '))
-        line.pop_back();
-    return line;
-}
-
-bool is_hex40(const std::string& text) {
-    if (text.size() != 40) return false;
-    for (const char c : text)
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-    return true;
-}
-
-/// Directory that holds the repository metadata: `<root>/.git` when that
-/// is a directory, or the `gitdir:` target when it is a worktree file.
-std::string resolve_git_dir(const std::string& root) {
-    const std::string dotgit = root + "/.git";
-    // A worktree checkout's .git is a one-line pointer file.
-    const std::string pointer = read_first_line(dotgit);
-    if (pointer.rfind("gitdir:", 0) == 0) {
-        std::string target = pointer.substr(7);
-        while (!target.empty() && target.front() == ' ')
-            target.erase(target.begin());
-        if (!target.empty() && target.front() != '/')
-            target = root + "/" + target;
-        return target;
-    }
-    // Plain repository: HEAD lives directly under .git.
-    if (!read_first_line(dotgit + "/HEAD").empty()) return dotgit;
-    return {};
-}
-
-std::string revision_from_git_dir(const std::string& git_dir) {
-    const std::string head = read_first_line(git_dir + "/HEAD");
-    if (is_hex40(head)) return head;  // detached HEAD
-    if (head.rfind("ref: ", 0) != 0) return {};
-    const std::string ref = head.substr(5);
-    const std::string direct = read_first_line(git_dir + "/" + ref);
-    if (is_hex40(direct)) return direct;
-    // Ref packed away: scan packed-refs for "<hash> <ref>".
-    std::ifstream packed(git_dir + "/packed-refs");
-    std::string line;
-    while (std::getline(packed, line)) {
-        if (line.size() > 41 && line[40] == ' ' &&
-            line.compare(41, std::string::npos, ref) == 0) {
-            const std::string hash = line.substr(0, 40);
-            if (is_hex40(hash)) return hash;
-        }
-    }
-    return {};
-}
-
-}  // namespace
-
 std::string git_revision() {
     const std::string pinned = env_string("GLITCHMASK_GIT_REVISION", "");
     if (!pinned.empty()) return pinned;
-    // Walk up from the working directory; a bench run from build/bench
-    // still finds the repository two levels up.
-    std::string root = ".";
-    for (int depth = 0; depth < 16; ++depth) {
-        const std::string git_dir = resolve_git_dir(root);
-        if (!git_dir.empty()) return revision_from_git_dir(git_dir);
-        root += "/..";
-    }
-    return {};
+    return GLITCHMASK_BUILD_REVISION;
 }
 
 std::string host_name() {

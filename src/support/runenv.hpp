@@ -12,19 +12,19 @@
 //   GLITCHMASK_HOST          overrides host_name()
 //   GLITCHMASK_UTC           overrides utc_timestamp()
 //
-// git_revision() never spawns a subprocess: it walks up from the working
-// directory to the nearest .git (directory or worktree file), resolves
-// HEAD through one level of ref indirection, and falls back to
-// packed-refs -- milliseconds, no fork, works in sandboxes without a git
-// binary.
+// git_revision() reads no file at run time: the build stamps the library
+// with `git rev-parse HEAD` of its source checkout, suffixed "-dirty"
+// when tracked files differ from HEAD (support/build_revision.cmake), so
+// a binary reports the revision it was built from wherever it runs.
 #pragma once
 
 #include <string>
 
 namespace glitchmask {
 
-/// 40-hex commit id of the checkout containing the working directory, or
-/// "" when none can be resolved.  $GLITCHMASK_GIT_REVISION wins.
+/// 40-hex commit id the library was built from, plus "-dirty" for an
+/// uncommitted tree; "" when the build found no git checkout.
+/// $GLITCHMASK_GIT_REVISION wins.
 [[nodiscard]] std::string git_revision();
 
 /// gethostname(), or "unknown" when it fails.  $GLITCHMASK_HOST wins.

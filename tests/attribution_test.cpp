@@ -223,8 +223,8 @@ TEST(AttributionCampaign, SigkillMidRunThenResumeIsBitIdentical) {
     resume.run.checkpoint_path = path;
     resume.workers = 4;  // resume at a different worker count
     const GadgetTvlaResult resumed = run_gadget_tvla(resume);
-    EXPECT_TRUE(resumed.resumed);
-    EXPECT_EQ(resumed.completed_traces, plain.traces);
+    EXPECT_TRUE(resumed.progress.resumed);
+    EXPECT_EQ(resumed.progress.completed_traces, plain.traces);
     EXPECT_EQ(baseline.max_abs_t1, resumed.max_abs_t1);
     expect_identical_attribution(baseline.attribution, resumed.attribution,
                                  "SIGKILL resume");
@@ -246,7 +246,7 @@ TEST(AttributionCampaign, ResumeAcrossAttributionToggleIsRejected) {
         if (completed_blocks >= 4) token.request();
     };
     const GadgetTvlaResult partial = run_gadget_tvla(cfg);
-    ASSERT_TRUE(partial.cancelled);
+    ASSERT_TRUE(partial.progress.cancelled);
     ASSERT_TRUE(read_file_if_exists(path).has_value());
 
     // An attributed snapshot must not resume an unattributed run: the
@@ -333,11 +333,12 @@ TEST(AttributionDes, MeanPowerAttributionIsGlitchHeatmapOnly) {
     run.attribution_scope = "sbox";
 
     const std::vector<double> plain =
-        mean_power_trace(core, /*traces=*/32, /*seed=*/3);
-    leakage::AttributionResult attribution;
-    const std::vector<double> attributed =
+        mean_power_trace(core, /*traces=*/32, /*seed=*/3).mean;
+    const MeanPowerResult result =
         mean_power_trace(core, 32, 3, /*placement_seed=*/1, /*workers=*/2,
-                         /*lanes=*/64, run, nullptr, &attribution);
+                         /*lanes=*/64, run);
+    const std::vector<double>& attributed = result.mean;
+    const leakage::AttributionResult& attribution = result.attribution;
 
     // The probe must not move the mean trace by a single bit.
     ASSERT_EQ(plain.size(), attributed.size());
@@ -388,7 +389,7 @@ TEST(AttributionReportV2, RoundTripsThroughJson) {
     std::remove(config.run.report_path.c_str());
 }
 
-TEST(AttributionReportV2, FullRangeCountersAndV1BackCompat) {
+TEST(AttributionReportV2, FullRangeCountersRoundTrip) {
     // Synthetic report with counters a double cannot represent exactly.
     RunReport report;
     report.campaign = "attr_unit";
@@ -413,19 +414,6 @@ TEST(AttributionReportV2, FullRangeCountersAndV1BackCompat) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->attribution, report.attribution);  // exact u64 parse
     std::remove(path.c_str());
-
-    // An unattributed report renders with no attribution section and
-    // reads back disabled -- exactly how every v1 file parses.
-    RunReport v1;
-    v1.campaign = "plain";
-    const std::string rendered = render_run_report(v1);
-    EXPECT_EQ(rendered.find("\"attribution\""), std::string::npos);
-    const std::string v1_path = temp_path("plain_report.json");
-    write_run_report(v1_path, v1);
-    const auto plain = read_run_report(v1_path);
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_FALSE(plain->attribution.enabled);
-    std::remove(v1_path.c_str());
 }
 
 TEST(AttributionExports, CsvAndAnnotatedDotCarryTheRanking) {

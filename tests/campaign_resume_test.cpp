@@ -80,9 +80,9 @@ TEST(CampaignResume, CheckpointedRunMatchesPlainRunBitForBit) {
     const DesTvlaResult with_snapshots = run_des_tvla(core, checkpointed);
 
     expect_identical(baseline, with_snapshots, "checkpointed");
-    EXPECT_FALSE(with_snapshots.cancelled);
-    EXPECT_FALSE(with_snapshots.resumed);
-    EXPECT_EQ(with_snapshots.completed_traces, checkpointed.traces);
+    EXPECT_FALSE(with_snapshots.progress.cancelled);
+    EXPECT_FALSE(with_snapshots.progress.resumed);
+    EXPECT_EQ(with_snapshots.progress.completed_traces, checkpointed.traces);
     std::remove(path.c_str());
 }
 
@@ -121,9 +121,10 @@ TEST(CampaignResume, SigkillMidRunThenResumeIsBitIdentical) {
         DesTvlaConfig resume = small_campaign(path);
         resume.workers = resume_workers;
         const DesTvlaResult resumed = run_des_tvla(core, resume);
-        EXPECT_TRUE(resumed.resumed) << resume_workers;
-        EXPECT_FALSE(resumed.cancelled) << resume_workers;
-        EXPECT_EQ(resumed.completed_traces, resume.traces) << resume_workers;
+        EXPECT_TRUE(resumed.progress.resumed) << resume_workers;
+        EXPECT_FALSE(resumed.progress.cancelled) << resume_workers;
+        EXPECT_EQ(resumed.progress.completed_traces, resume.traces)
+            << resume_workers;
         expect_identical(baseline, resumed,
                          "resume workers=" + std::to_string(resume_workers));
     }
@@ -147,18 +148,18 @@ TEST(CampaignResume, CancelledRunResumesToIdenticalResult) {
         if (completed_blocks >= 4) token.request();
     };
     const DesTvlaResult partial = run_des_tvla(core, cancelled_cfg);
-    EXPECT_TRUE(partial.cancelled);
-    EXPECT_LT(partial.completed_traces, cancelled_cfg.traces);
-    EXPECT_GT(partial.completed_traces, 0u);
+    EXPECT_TRUE(partial.progress.cancelled);
+    EXPECT_LT(partial.progress.completed_traces, cancelled_cfg.traces);
+    EXPECT_GT(partial.progress.completed_traces, 0u);
     // The partial statistics cover exactly the completed prefix.
     EXPECT_EQ(partial.campaign.traces(true) + partial.campaign.traces(false),
-              partial.completed_traces);
+              partial.progress.completed_traces);
 
     // Phase 2: resume without the token -> runs to completion.
     const DesTvlaConfig resume = small_campaign(path);
     const DesTvlaResult resumed = run_des_tvla(core, resume);
-    EXPECT_TRUE(resumed.resumed);
-    EXPECT_FALSE(resumed.cancelled);
+    EXPECT_TRUE(resumed.progress.resumed);
+    EXPECT_FALSE(resumed.progress.cancelled);
     expect_identical(baseline, resumed, "resume after cancel");
     std::remove(path.c_str());
 }
@@ -175,8 +176,8 @@ TEST(CampaignResume, SigintViaScopedSignalCancelStopsGracefully) {
         if (completed_blocks >= 2) std::raise(SIGINT);  // a real Ctrl-C
     };
     const DesTvlaResult partial = run_des_tvla(core, cfg);
-    EXPECT_TRUE(partial.cancelled);
-    EXPECT_LT(partial.completed_traces, cfg.traces);
+    EXPECT_TRUE(partial.progress.cancelled);
+    EXPECT_LT(partial.progress.completed_traces, cfg.traces);
     ASSERT_TRUE(read_file_if_exists(path).has_value());
 
     // And the interrupted run resumes to the uninterrupted result.
@@ -186,7 +187,7 @@ TEST(CampaignResume, SigintViaScopedSignalCancelStopsGracefully) {
     DesTvlaConfig resume = small_campaign(path);
     resume.run.cancel = &token;  // armed but never fired this time
     const DesTvlaResult resumed = run_des_tvla(core, resume);
-    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.progress.resumed);
     expect_identical(baseline, resumed, "resume after SIGINT");
     std::remove(path.c_str());
 }
@@ -208,12 +209,12 @@ TEST(CampaignResume, ResumeAcrossLaneConfigsIsBitIdentical) {
         if (completed_blocks >= 4) token.request();
     };
     const DesTvlaResult partial = run_des_tvla(core, scalar_cfg);
-    ASSERT_TRUE(partial.cancelled);
+    ASSERT_TRUE(partial.progress.cancelled);
 
     DesTvlaConfig lane_resume = small_campaign(path);
     lane_resume.lanes = 64;
     const DesTvlaResult resumed = run_des_tvla(core, lane_resume);
-    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.progress.resumed);
     expect_identical(baseline, resumed, "scalar snapshot, 64-lane resume");
     std::remove(path.c_str());
 }
@@ -296,7 +297,7 @@ TEST(CampaignResume, MeanPowerTraceCheckpointAndResume) {
     const std::string path = temp_snapshot("mean_power.gmsnap");
 
     const std::vector<double> baseline =
-        mean_power_trace(core, /*traces=*/192, /*seed=*/5);
+        mean_power_trace(core, /*traces=*/192, /*seed=*/5).mean;
 
     CancelToken token;
     CampaignRunOptions run;
@@ -306,24 +307,22 @@ TEST(CampaignResume, MeanPowerTraceCheckpointAndResume) {
     run.on_checkpoint = [&token](std::size_t completed_blocks) {
         if (completed_blocks >= 1) token.request();
     };
-    CampaignProgress progress;
     // workers=1 keeps the wave at 2 blocks, so the cancel lands mid-run
     // (192 traces = 3 blocks of 64).
-    const std::vector<double> partial =
-        mean_power_trace(core, 192, 5, 1, /*workers=*/1, 0, run, &progress);
-    EXPECT_TRUE(progress.cancelled);
-    EXPECT_LT(progress.completed_traces, 192u);
-    EXPECT_EQ(partial.size(), baseline.size());  // still a full-width trace
+    const MeanPowerResult partial =
+        mean_power_trace(core, 192, 5, 1, /*workers=*/1, 0, run);
+    EXPECT_TRUE(partial.progress.cancelled);
+    EXPECT_LT(partial.progress.completed_traces, 192u);
+    EXPECT_EQ(partial.mean.size(), baseline.size());  // a full-width trace
 
     CampaignRunOptions resume;
     resume.checkpoint_path = path;
-    CampaignProgress resumed_progress;
-    const std::vector<double> resumed =
-        mean_power_trace(core, 192, 5, 1, 2, 0, resume, &resumed_progress);
-    EXPECT_TRUE(resumed_progress.resumed);
-    ASSERT_EQ(resumed.size(), baseline.size());
+    const MeanPowerResult resumed =
+        mean_power_trace(core, 192, 5, 1, 2, 0, resume);
+    EXPECT_TRUE(resumed.progress.resumed);
+    ASSERT_EQ(resumed.mean.size(), baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i)
-        EXPECT_EQ(resumed[i], baseline[i]) << "sample " << i;
+        EXPECT_EQ(resumed.mean[i], baseline[i]) << "sample " << i;
     std::remove(path.c_str());
 }
 
@@ -339,7 +338,7 @@ TEST(CampaignResume, SequenceExperimentCheckpointAndResume) {
 
     const SequenceLeakResult baseline =
         run_sequence_experiment(sequence, config);
-    EXPECT_EQ(baseline.completed_traces, config.traces);
+    EXPECT_EQ(baseline.progress.completed_traces, config.traces);
 
     const std::string path = temp_snapshot("sequence.gmsnap");
     CancelToken token;
@@ -352,14 +351,14 @@ TEST(CampaignResume, SequenceExperimentCheckpointAndResume) {
     };
     const SequenceLeakResult partial =
         run_sequence_experiment(sequence, interrupted);
-    EXPECT_TRUE(partial.cancelled);
-    EXPECT_LT(partial.completed_traces, config.traces);
+    EXPECT_TRUE(partial.progress.cancelled);
+    EXPECT_LT(partial.progress.completed_traces, config.traces);
 
     SequenceExperimentConfig resume = config;
     resume.run.checkpoint_path = path;
     const SequenceLeakResult resumed =
         run_sequence_experiment(sequence, resume);
-    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.progress.resumed);
     EXPECT_EQ(resumed.max_abs_t1, baseline.max_abs_t1);
     EXPECT_EQ(resumed.max_abs_t2, baseline.max_abs_t2);
     EXPECT_EQ(resumed.argmax_cycle, baseline.argmax_cycle);
@@ -536,7 +535,7 @@ TEST(CampaignResume, SnapshotBytesArePinned) {
         cancel_after_two(seq.run, seq_token, path, attribute);
         EXPECT_TRUE(run_sequence_experiment(core::all_input_sequences().front(),
                                             seq)
-                        .cancelled);
+                        .progress.cancelled);
         hashes.push_back(snapshot_hash(path));
 
         GadgetTvlaConfig gadget;
@@ -544,7 +543,7 @@ TEST(CampaignResume, SnapshotBytesArePinned) {
         gadget.workers = 1;
         CancelToken gadget_token;
         cancel_after_two(gadget.run, gadget_token, path, attribute);
-        EXPECT_TRUE(run_gadget_tvla(gadget).cancelled);
+        EXPECT_TRUE(run_gadget_tvla(gadget).progress.cancelled);
         hashes.push_back(snapshot_hash(path));
 
         DesTvlaConfig des;
@@ -552,16 +551,16 @@ TEST(CampaignResume, SnapshotBytesArePinned) {
         des.workers = 1;
         CancelToken des_token;
         cancel_after_two(des.run, des_token, path, attribute);
-        EXPECT_TRUE(run_des_tvla(core, des).cancelled);
+        EXPECT_TRUE(run_des_tvla(core, des).progress.cancelled);
         hashes.push_back(snapshot_hash(path));
 
         CampaignRunOptions mean;
         CancelToken mean_token;
         cancel_after_two(mean, mean_token, path, attribute);
-        CampaignProgress progress;
-        (void)mean_power_trace(core, 192, /*seed=*/1, /*placement_seed=*/1,
-                               /*workers=*/1, /*lanes=*/0, mean, &progress);
-        EXPECT_TRUE(progress.cancelled);
+        EXPECT_TRUE(mean_power_trace(core, 192, /*seed=*/1,
+                                     /*placement_seed=*/1, /*workers=*/1,
+                                     /*lanes=*/0, mean)
+                        .progress.cancelled);
         hashes.push_back(snapshot_hash(path));
     }
     const Pin pins[] = {

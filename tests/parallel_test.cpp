@@ -99,10 +99,10 @@ TEST(ParallelCampaign, MeanPowerTraceBitExactAcrossWorkerCounts) {
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::vector<double> serial =
         mean_power_trace(core, /*traces=*/48, /*seed=*/5, /*placement_seed=*/1,
-                         /*workers=*/1);
+                         /*workers=*/1).mean;
     for (const unsigned workers : {2u, 4u}) {
         const std::vector<double> parallel =
-            mean_power_trace(core, 48, 5, 1, workers);
+            mean_power_trace(core, 48, 5, 1, workers).mean;
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
             EXPECT_EQ(parallel[i], serial[i]) << "sample " << i;
@@ -170,9 +170,9 @@ TEST(BatchLanes, MeanPowerTraceBitExactAcrossLaneConfigs) {
     const des::MaskedDesCore core(des::MaskedDesOptions{});
     const std::vector<double> scalar =
         mean_power_trace(core, /*traces=*/48, /*seed=*/5, /*placement_seed=*/1,
-                         /*workers=*/2, /*lanes=*/1);
+                         /*workers=*/2, /*lanes=*/1).mean;
     const std::vector<double> batch =
-        mean_power_trace(core, 48, 5, 1, 2, 64);
+        mean_power_trace(core, 48, 5, 1, 2, 64).mean;
     ASSERT_EQ(batch.size(), scalar.size());
     for (std::size_t i = 0; i < scalar.size(); ++i)
         EXPECT_EQ(batch[i], scalar[i]) << "sample " << i;

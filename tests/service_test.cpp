@@ -1032,10 +1032,37 @@ TEST_F(CheckpointFailureTest, EnospcMidCampaignFailsTypedWithoutDegrade) {
     }
 }
 
-TEST_F(CheckpointFailureTest, EnospcMidCampaignDegradesToExactResult) {
-    const CampaignRequest request = small_gadget_request(212, 128);
+// The degradation flags reach the outcome from every kind's campaign
+// summary, so both degradation paths are checked for all four kinds.
+class CheckpointDegradationTest
+    : public CheckpointFailureTest,
+      public ::testing::WithParamInterface<CampaignKind> {
+protected:
+    /// A quick campaign of `blocks` blocks of the parameter's kind.
+    static CampaignRequest small_request(std::uint64_t seed,
+                                         std::size_t blocks) {
+        if (GetParam() == CampaignKind::GadgetTvla)
+            return small_gadget_request(seed, blocks * 16);
+        CampaignRequest request = default_request(GetParam());
+        request.replicas = 4;  // the sequence harness; DES kinds ignore it
+        request.seed = seed;
+        request.workers = 2;
+        request.block_size = 16;
+        // mean_power_trace always cuts blocks of 64.
+        request.traces =
+            blocks * (GetParam() == CampaignKind::MeanPower ? 64 : 16);
+        return request;
+    }
+
+    static std::string kind_path(const std::string& name) {
+        return snapshot_path(name + "_" + campaign_kind_name(GetParam()));
+    }
+};
+
+TEST_P(CheckpointDegradationTest, EnospcMidCampaignDegradesToExactResult) {
+    const CampaignRequest request = small_request(212, 8);
     const CampaignOutcome reference = reference_outcome(request);
-    const std::string path = snapshot_path("enospc_degrade");
+    const std::string path = kind_path("enospc_degrade");
 
     fault::install(
         fault::parse_fault_plan("atomic_file.fsync=enospc@after=1"));
@@ -1059,10 +1086,10 @@ TEST_F(CheckpointFailureTest, EnospcMidCampaignDegradesToExactResult) {
     expect_same_metrics(outcome, reference);
 }
 
-TEST_F(CheckpointFailureTest, TruncatedSnapshotIsTypedAndQuarantinable) {
-    const CampaignRequest request = small_gadget_request(213, 256);
+TEST_P(CheckpointDegradationTest, TruncatedSnapshotIsTypedAndQuarantinable) {
+    const CampaignRequest request = small_request(213, 16);
     const CampaignOutcome reference = reference_outcome(request);
-    const std::string path = snapshot_path("truncated");
+    const std::string path = kind_path("truncated");
 
     CancelToken cancel;
     const CampaignOutcome partial =
@@ -1106,6 +1133,14 @@ TEST_F(CheckpointFailureTest, TruncatedSnapshotIsTypedAndQuarantinable) {
         << "the damaged snapshot must be preserved for forensics";
     expect_same_metrics(outcome, reference);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, CheckpointDegradationTest,
+    ::testing::Values(CampaignKind::SequenceTvla, CampaignKind::GadgetTvla,
+                      CampaignKind::DesTvla, CampaignKind::MeanPower),
+    [](const ::testing::TestParamInfo<CampaignKind>& info) {
+        return std::string(campaign_kind_name(info.param));
+    });
 
 TEST_F(CheckpointFailureTest, FailedWritesNeverDamageThePreviousSnapshot) {
     const CampaignRequest request = small_gadget_request(214, 256);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -8,10 +9,13 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 #include "support/bits.hpp"
 #include "support/csv.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
+#include "support/runenv.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -235,6 +239,32 @@ TEST(ThreadPool, DefaultWorkerCountHonoursEnv) {
     EXPECT_EQ(ThreadPool::default_worker_count(), 3u);
     ::unsetenv("GLITCHMASK_WORKERS");
     EXPECT_GE(ThreadPool::default_worker_count(), 1u);
+}
+
+TEST(RunEnv, GitRevisionIsTheBuildStampWhereverItRuns) {
+    ::setenv("GLITCHMASK_GIT_REVISION", "pinned", 1);
+    EXPECT_EQ(git_revision(), "pinned");
+    ::unsetenv("GLITCHMASK_GIT_REVISION");
+
+    // "" from a build outside a checkout, else HEAD's 40 hex digits with
+    // "-dirty" for an uncommitted tree.
+    const std::string stamp = git_revision();
+    if (!stamp.empty()) {
+        ASSERT_GE(stamp.size(), 40u);
+        for (std::size_t i = 0; i < 40; ++i)
+            EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(stamp[i])))
+                << stamp;
+        const std::string suffix = stamp.substr(40);
+        EXPECT_TRUE(suffix.empty() || suffix == "-dirty") << stamp;
+    }
+
+    // The working directory plays no part.
+    char cwd[4096] = {};
+    ASSERT_NE(::getcwd(cwd, sizeof cwd), nullptr);
+    ASSERT_EQ(::chdir("/"), 0);
+    const std::string from_root = git_revision();
+    ASSERT_EQ(::chdir(cwd), 0);
+    EXPECT_EQ(from_root, stamp);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@
 // identical data
 // ("stats_speedup", CI gate >= 1.5x), and every sweep row carries a
 // "phases_cpu" breakdown (sim/noise/moments/attribution/checkpoint CPU
-// seconds from the phase.* telemetry counters -- summed across workers,
+// seconds from the phase.* telemetry histograms' sums -- summed across workers,
 // so a row's phases_cpu can exceed its wall "seconds") plus an
 // "oversubscribed" flag for worker counts beyond the machine's physical
 // cores (top-level "physical_cores").  Each run is stamped with its git
@@ -108,7 +108,7 @@ struct Series {
     std::uint64_t sim_inertial_cancels = 0;
     std::uint64_t sim_queue_peak = 0;
     // Per-phase *CPU* seconds from the block-level phase.* telemetry
-    // counters.  Each worker's on-thread time is summed, so with W
+    // histograms' sums.  Each worker's on-thread time is summed, so with W
     // workers these can total up to W x the row's wall seconds -- they
     // answer "where did the cores spend their cycles", not "what took so
     // long".  Emitted as "phases_cpu" to keep the ambiguity out of the
@@ -381,17 +381,17 @@ int main(int argc, char** argv) {
         s.sim_inertial_cancels =
             counters.value(telemetry::Counter::kSimInertialCancels);
         s.sim_queue_peak = counters.value(telemetry::Counter::kSimQueuePeak);
-        const auto phase_seconds = [&](telemetry::Counter c) {
-            return static_cast<double>(counters.value(c)) / 1e9;
+        const auto phase_seconds = [&](telemetry::Histogram h) {
+            return static_cast<double>(counters.histogram(h).sum) / 1e9;
         };
-        s.phase_sim = phase_seconds(telemetry::Counter::kPhaseSimNanos);
-        s.phase_noise = phase_seconds(telemetry::Counter::kPhaseNoiseNanos);
+        s.phase_sim = phase_seconds(telemetry::Histogram::kPhaseSimNanos);
+        s.phase_noise = phase_seconds(telemetry::Histogram::kPhaseNoiseNanos);
         s.phase_moments =
-            phase_seconds(telemetry::Counter::kPhaseMomentsNanos);
+            phase_seconds(telemetry::Histogram::kPhaseMomentsNanos);
         s.phase_attribution =
-            phase_seconds(telemetry::Counter::kPhaseAttributionNanos);
+            phase_seconds(telemetry::Histogram::kPhaseAttributionNanos);
         s.phase_checkpoint =
-            phase_seconds(telemetry::Counter::kCheckpointNanos);
+            phase_seconds(telemetry::Histogram::kCheckpointWriteNanos);
         s.speedup = series.empty() ? 1.0 : series.front().seconds / s.seconds;
         series.push_back(s);
 

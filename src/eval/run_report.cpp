@@ -1,9 +1,6 @@
 #include "eval/run_report.hpp"
 
 #include <charconv>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 
@@ -17,23 +14,6 @@
 namespace glitchmask::eval {
 
 namespace {
-
-std::int64_t steady_ns() noexcept {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-void append_double(std::string& out, double value) {
-    if (!std::isfinite(value)) value = 0.0;  // JSON has no NaN/Inf
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    out += buffer;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-    out += std::to_string(value);
-}
 
 // ----- parser ------------------------------------------------------------
 
@@ -274,20 +254,47 @@ private:
     std::size_t depth_ = 0;
 };
 
-const JsonValue& require(const JsonValue& object, std::string_view key) {
+using Kind = JsonValue::Kind;
+
+/// Throws unless `value` is of `kind` (an unsigned integer also passes as
+/// a number), so a malformed report fails instead of reading as 0 or "".
+const JsonValue& expect(const JsonValue& value, Kind kind,
+                        std::string_view what) {
+    if (value.kind == kind ||
+        (kind == Kind::kNumber && value.kind == Kind::kUnsigned))
+        return value;
+    static constexpr const char* kNames[] = {
+        "null",     "a boolean", "an unsigned integer", "a number",
+        "a string", "an array",  "an object"};
+    throw std::runtime_error("run report: field '" + std::string(what) +
+                             "' is not " +
+                             kNames[static_cast<std::size_t>(kind)]);
+}
+
+const JsonValue& require(const JsonValue& object, std::string_view key,
+                         Kind kind) {
     const JsonValue* member = object.find(key);
     if (member == nullptr)
         throw std::runtime_error("run report: missing field '" +
                                  std::string(key) + "'");
-    return *member;
+    return expect(*member, kind, key);
 }
 
 std::uint64_t require_u64(const JsonValue& object, std::string_view key) {
-    const JsonValue& member = require(object, key);
-    if (member.kind != JsonValue::Kind::kUnsigned)
-        throw std::runtime_error("run report: field '" + std::string(key) +
-                                 "' is not an unsigned integer");
-    return member.unsigned_value;
+    return require(object, key, Kind::kUnsigned).unsigned_value;
+}
+
+const std::string& require_string(const JsonValue& object,
+                                  std::string_view key) {
+    return require(object, key, Kind::kString).string;
+}
+
+bool require_bool(const JsonValue& object, std::string_view key) {
+    return require(object, key, Kind::kBool).boolean;
+}
+
+double require_number(const JsonValue& object, std::string_view key) {
+    return require(object, key, Kind::kNumber).as_number();
 }
 
 }  // namespace
@@ -323,161 +330,77 @@ std::string resolve_trace_path(const CampaignRunOptions& run,
 }
 
 std::string render_run_report(const RunReport& report) {
-    std::string out;
-    out.reserve(2048);
-    out += "{\n  \"schema\": ";
-    append_json_string(out, kRunReportSchema);
-    out += ",\n  \"version\": ";
-    append_u64(out, kRunReportVersion);
-    out += ",\n  \"campaign\": ";
-    append_json_string(out, report.campaign);
-    out += ",\n  \"fingerprint\": {";
-    out += "\"kind\": ";
-    append_u64(out, report.fingerprint.kind);
-    out += ", \"seed\": ";
-    append_u64(out, report.fingerprint.seed);
-    out += ", \"traces\": ";
-    append_u64(out, report.fingerprint.traces);
-    out += ", \"block_size\": ";
-    append_u64(out, report.fingerprint.block_size);
-    out += ", \"payload\": ";
-    append_u64(out, report.fingerprint.payload);
-    out += "},\n  \"workers\": ";
-    append_u64(out, report.workers);
-    out += ",\n  \"lanes\": ";
-    append_u64(out, report.lanes);
-    out += ",\n  \"revision\": ";
-    append_json_string(out, report.revision);
-    out += ",\n  \"hostname\": ";
-    append_json_string(out, report.hostname);
-    out += ",\n  \"utc\": ";
-    append_json_string(out, report.utc);
-    out += ",\n  \"wall_seconds\": ";
-    append_double(out, report.wall_seconds);
-    out += ",\n  \"cpu_seconds\": ";
-    append_double(out, report.cpu_seconds);
-    out += ",\n  \"telemetry_enabled\": ";
-    out += report.telemetry_enabled ? "true" : "false";
-    out += ",\n  \"counters\": {";
-    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-        if (i != 0) out += ",";
-        out += "\n    ";
-        append_json_string(out,
-                       telemetry::counter_name(static_cast<telemetry::Counter>(i)));
-        out += ": ";
-        append_u64(out, report.counters.values[i]);
-    }
-    out += "\n  },\n  \"histograms\": {";
-    // v3, sparse: only observed families, only nonzero buckets, each
-    // bucket as [floor, count] (the floor maps back to its index via
-    // histogram_bucket()).
-    bool first_histogram = true;
-    for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
-        const telemetry::HistogramSnapshot& h = report.counters.histograms[i];
-        if (h.count == 0) continue;
-        if (!first_histogram) out += ",";
-        first_histogram = false;
-        out += "\n    ";
-        append_json_string(out, telemetry::histogram_name(
-                                static_cast<telemetry::Histogram>(i)));
-        out += ": {\"count\": ";
-        append_u64(out, h.count);
-        out += ", \"sum\": ";
-        append_u64(out, h.sum);
-        out += ", \"max\": ";
-        append_u64(out, h.max);
-        out += ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::size_t b = 0; b < telemetry::kHistogramBuckets; ++b) {
-            if (h.buckets[b] == 0) continue;
-            if (!first_bucket) out += ", ";
-            first_bucket = false;
-            out += "[";
-            append_u64(out, telemetry::histogram_bucket_floor(b));
-            out += ", ";
-            append_u64(out, h.buckets[b]);
-            out += "]";
-        }
-        out += "]}";
-    }
-    out += first_histogram ? "}" : "\n  }";
-    out += ",\n  \"progress\": {";
-    out += "\"completed_blocks\": ";
-    append_u64(out, report.progress.completed_blocks);
-    out += ", \"completed_traces\": ";
-    append_u64(out, report.progress.completed_traces);
-    out += ", \"resumed\": ";
-    out += report.progress.resumed ? "true" : "false";
-    out += ", \"cancelled\": ";
-    out += report.progress.cancelled ? "true" : "false";
-    out += "},\n  \"checkpoint_blocks\": [";
-    for (std::size_t i = 0; i < report.checkpoint_blocks.size(); ++i) {
-        if (i != 0) out += ", ";
-        append_u64(out, report.checkpoint_blocks[i]);
-    }
-    out += "],\n  \"metrics\": {";
-    for (std::size_t i = 0; i < report.metrics.size(); ++i) {
-        if (i != 0) out += ",";
-        out += "\n    ";
-        append_json_string(out, report.metrics[i].first);
-        out += ": ";
-        append_double(out, report.metrics[i].second);
-    }
-    out += report.metrics.empty() ? "}" : "\n  }";
+    JsonWriter w;
+    w.begin_object();
+    w.member("schema", kRunReportSchema);
+    w.member("version", std::uint64_t{kRunReportVersion});
+    w.member("campaign", report.campaign);
+    w.key("fingerprint");
+    w.begin_object();
+    w.member("kind", report.fingerprint.kind);
+    w.member("seed", report.fingerprint.seed);
+    w.member("traces", report.fingerprint.traces);
+    w.member("block_size", report.fingerprint.block_size);
+    w.member("payload", report.fingerprint.payload);
+    w.end_object();
+    w.member("workers", std::uint64_t{report.workers});
+    w.member("lanes", std::uint64_t{report.lanes});
+    w.member("revision", report.revision);
+    w.member("hostname", report.hostname);
+    w.member("utc", report.utc);
+    w.member("wall_seconds", report.wall_seconds);
+    w.member("cpu_seconds", report.cpu_seconds);
+    w.member("telemetry_enabled", report.telemetry_enabled);
+    telemetry::write_json(w, report.counters);
+    w.key("progress");
+    w.begin_object();
+    w.member("completed_blocks", report.progress.completed_blocks);
+    w.member("completed_traces", report.progress.completed_traces);
+    w.member("resumed", report.progress.resumed);
+    w.member("cancelled", report.progress.cancelled);
+    w.end_object();
+    w.key("checkpoint_blocks");
+    w.begin_array();
+    for (const std::uint64_t mark : report.checkpoint_blocks) w.value(mark);
+    w.end_array();
+    w.key("metrics");
+    w.begin_object();
+    for (const auto& [name, value] : report.metrics) w.member(name, value);
+    w.end_object();
     if (report.attribution.enabled) {
         const AttributionReport& attr = report.attribution;
-        out += ",\n  \"attribution\": {\n    \"top_k\": ";
-        append_u64(out, attr.top_k);
-        out += ",\n    \"scope\": ";
-        append_json_string(out, attr.scope);
-        out += ",\n    \"traces_fixed\": ";
-        append_u64(out, attr.traces_fixed);
-        out += ",\n    \"traces_random\": ";
-        append_u64(out, attr.traces_random);
-        out += ",\n    \"nets\": [";
-        for (std::size_t i = 0; i < attr.nets.size(); ++i) {
-            const AttributionNetReport& net = attr.nets[i];
-            out += i != 0 ? "," : "";
-            out += "\n      {\"net\": ";
-            append_u64(out, net.net);
-            out += ", \"name\": ";
-            append_json_string(out, net.name);
-            out += ", \"kind\": ";
-            append_json_string(out, net.kind);
-            out += ", \"module\": ";
-            append_json_string(out, net.module);
-            out += ", \"max_abs_t\": ";
-            append_double(out, net.max_abs_t);
-            out += ", \"argmax_window\": ";
-            append_u64(out, net.argmax_window);
-            out += ", \"snr\": ";
-            append_double(out, net.snr);
-            out += ", \"toggles\": ";
-            append_u64(out, net.toggles);
-            out += ", \"glitches\": ";
-            append_u64(out, net.glitches);
-            out += ", \"glitch_density\": ";
-            append_double(out, net.glitch_density);
-            out += "}";
+        w.key("attribution");
+        w.begin_object();
+        w.member("top_k", attr.top_k);
+        w.member("scope", attr.scope);
+        w.member("traces_fixed", attr.traces_fixed);
+        w.member("traces_random", attr.traces_random);
+        w.key("nets");
+        w.begin_array();
+        for (const AttributionNetReport& net : attr.nets) {
+            w.begin_object();
+            w.member("net", net.net);
+            w.member("name", net.name);
+            w.member("kind", net.kind);
+            w.member("module", net.module);
+            w.member("max_abs_t", net.max_abs_t);
+            w.member("argmax_window", net.argmax_window);
+            w.member("snr", net.snr);
+            w.member("toggles", net.toggles);
+            w.member("glitches", net.glitches);
+            w.member("glitch_density", net.glitch_density);
+            w.end_object();
         }
-        out += attr.nets.empty() ? "]\n  }" : "\n    ]\n  }";
+        w.end_array();
+        w.end_object();
     }
     if (!report.spans.empty()) {
-        out += ",\n  \"spans\": [";
-        for (std::size_t i = 0; i < report.spans.size(); ++i) {
-            const trace::SpanSummary& span = report.spans[i];
-            out += i != 0 ? "," : "";
-            out += "\n    {\"name\": ";
-            append_json_string(out, span.name);
-            out += ", \"count\": ";
-            append_u64(out, span.count);
-            out += ", \"total_ns\": ";
-            append_u64(out, span.total_ns);
-            out += "}";
-        }
-        out += "\n  ]";
+        w.key("spans");
+        trace::write_json(w, report.spans);
     }
-    out += "\n}\n";
+    w.end_object();
+    std::string out = w.take();
+    out += '\n';
     return out;
 }
 
@@ -498,20 +421,19 @@ std::optional<RunReport> read_run_report(const std::string& path) {
 }
 
 RunReport decode_run_report(const JsonValue& root) {
-    if (root.kind != JsonValue::Kind::kObject)
-        throw std::runtime_error("run report: not a JSON object");
-    const JsonValue& schema = require(root, "schema");
-    if (schema.string != kRunReportSchema)
-        throw std::runtime_error("run report: unexpected schema '" +
-                                 schema.string + "'");
+    expect(root, Kind::kObject, "(document)");
+    const std::string& schema = require_string(root, "schema");
+    if (schema != kRunReportSchema)
+        throw std::runtime_error("run report: unexpected schema '" + schema +
+                                 "'");
     const std::uint64_t version = require_u64(root, "version");
     if (version != kRunReportVersion)
         throw std::runtime_error("run report: unsupported version " +
                                  std::to_string(version));
 
     RunReport report;
-    report.campaign = require(root, "campaign").string;
-    const JsonValue& fp = require(root, "fingerprint");
+    report.campaign = require_string(root, "campaign");
+    const JsonValue& fp = require(root, "fingerprint", Kind::kObject);
     report.fingerprint.kind = require_u64(fp, "kind");
     report.fingerprint.seed = require_u64(fp, "seed");
     report.fingerprint.traces = require_u64(fp, "traces");
@@ -519,80 +441,91 @@ RunReport decode_run_report(const JsonValue& root) {
     report.fingerprint.payload = require_u64(fp, "payload");
     report.workers = static_cast<unsigned>(require_u64(root, "workers"));
     report.lanes = static_cast<unsigned>(require_u64(root, "lanes"));
-    report.revision = require(root, "revision").string;
-    report.hostname = require(root, "hostname").string;
-    report.utc = require(root, "utc").string;
-    report.wall_seconds = require(root, "wall_seconds").as_number();
-    report.cpu_seconds = require(root, "cpu_seconds").as_number();
-    report.telemetry_enabled = require(root, "telemetry_enabled").boolean;
-    const JsonValue& counters = require(root, "counters");
+    report.revision = require_string(root, "revision");
+    report.hostname = require_string(root, "hostname");
+    report.utc = require_string(root, "utc");
+    report.wall_seconds = require_number(root, "wall_seconds");
+    report.cpu_seconds = require_number(root, "cpu_seconds");
+    report.telemetry_enabled = require_bool(root, "telemetry_enabled");
+    // Sparse: an absent counter or histogram reads as 0.
+    const JsonValue& counters = require(root, "counters", Kind::kObject);
     for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
         const char* name =
             telemetry::counter_name(static_cast<telemetry::Counter>(i));
-        if (const JsonValue* value = counters.find(name))
-            report.counters.values[i] = value->unsigned_value;
+        if (counters.find(name) != nullptr)
+            report.counters.values[i] = require_u64(counters, name);
     }
-    // Absent in histogram-free runs.
     if (const JsonValue* histograms = root.find("histograms")) {
+        expect(*histograms, Kind::kObject, "histograms");
         for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
             const char* name = telemetry::histogram_name(
                 static_cast<telemetry::Histogram>(i));
-            const JsonValue* cell = histograms->find(name);
-            if (cell == nullptr) continue;
+            if (histograms->find(name) == nullptr) continue;
+            const JsonValue& cell = require(*histograms, name, Kind::kObject);
             telemetry::HistogramSnapshot& h = report.counters.histograms[i];
-            h.count = require_u64(*cell, "count");
-            h.sum = require_u64(*cell, "sum");
-            h.max = require_u64(*cell, "max");
-            for (const JsonValue& pair : require(*cell, "buckets").array) {
-                if (pair.kind != JsonValue::Kind::kArray ||
-                    pair.array.size() != 2)
+            h.count = require_u64(cell, "count");
+            h.sum = require_u64(cell, "sum");
+            h.max = require_u64(cell, "max");
+            for (const JsonValue& pair :
+                 require(cell, "buckets", Kind::kArray).array) {
+                if (expect(pair, Kind::kArray, "buckets").array.size() != 2)
                     throw std::runtime_error(
                         "run report: histogram bucket is not a "
                         "[floor, count] pair");
                 const std::size_t bucket = telemetry::histogram_bucket(
-                    pair.array[0].unsigned_value);
-                h.buckets[bucket] = pair.array[1].unsigned_value;
+                    expect(pair.array[0], Kind::kUnsigned, "buckets")
+                        .unsigned_value);
+                h.buckets[bucket] =
+                    expect(pair.array[1], Kind::kUnsigned, "buckets")
+                        .unsigned_value;
             }
         }
     }
-    const JsonValue& progress = require(root, "progress");
+    const JsonValue& progress = require(root, "progress", Kind::kObject);
     report.progress.completed_blocks =
         static_cast<std::size_t>(require_u64(progress, "completed_blocks"));
     report.progress.completed_traces =
         static_cast<std::size_t>(require_u64(progress, "completed_traces"));
-    report.progress.resumed = require(progress, "resumed").boolean;
-    report.progress.cancelled = require(progress, "cancelled").boolean;
-    for (const JsonValue& mark : require(root, "checkpoint_blocks").array)
-        report.checkpoint_blocks.push_back(mark.unsigned_value);
-    for (const auto& [name, value] : require(root, "metrics").object)
-        report.metrics.emplace_back(name, value.as_number());
+    report.progress.resumed = require_bool(progress, "resumed");
+    report.progress.cancelled = require_bool(progress, "cancelled");
+    for (const JsonValue& mark :
+         require(root, "checkpoint_blocks", Kind::kArray).array)
+        report.checkpoint_blocks.push_back(
+            expect(mark, Kind::kUnsigned, "checkpoint_blocks").unsigned_value);
+    for (const auto& [name, value] :
+         require(root, "metrics", Kind::kObject).object)
+        report.metrics.emplace_back(
+            name, expect(value, Kind::kNumber, name).as_number());
     // Absent in unattributed runs.
     if (const JsonValue* attr = root.find("attribution")) {
+        expect(*attr, Kind::kObject, "attribution");
         report.attribution.enabled = true;
         report.attribution.top_k = require_u64(*attr, "top_k");
-        report.attribution.scope = require(*attr, "scope").string;
+        report.attribution.scope = require_string(*attr, "scope");
         report.attribution.traces_fixed = require_u64(*attr, "traces_fixed");
         report.attribution.traces_random = require_u64(*attr, "traces_random");
-        for (const JsonValue& entry : require(*attr, "nets").array) {
+        for (const JsonValue& entry :
+             require(*attr, "nets", Kind::kArray).array) {
             AttributionNetReport net;
             net.net = require_u64(entry, "net");
-            net.name = require(entry, "name").string;
-            net.kind = require(entry, "kind").string;
-            net.module = require(entry, "module").string;
-            net.max_abs_t = require(entry, "max_abs_t").as_number();
+            net.name = require_string(entry, "name");
+            net.kind = require_string(entry, "kind");
+            net.module = require_string(entry, "module");
+            net.max_abs_t = require_number(entry, "max_abs_t");
             net.argmax_window = require_u64(entry, "argmax_window");
-            net.snr = require(entry, "snr").as_number();
+            net.snr = require_number(entry, "snr");
             net.toggles = require_u64(entry, "toggles");
             net.glitches = require_u64(entry, "glitches");
-            net.glitch_density = require(entry, "glitch_density").as_number();
+            net.glitch_density = require_number(entry, "glitch_density");
             report.attribution.nets.push_back(std::move(net));
         }
     }
     // Absent in untraced runs.
     if (const JsonValue* spans = root.find("spans")) {
-        for (const JsonValue& entry : spans->array) {
+        for (const JsonValue& entry :
+             expect(*spans, Kind::kArray, "spans").array) {
             trace::SpanSummary span;
-            span.name = require(entry, "name").string;
+            span.name = require_string(entry, "name");
             span.count = require_u64(entry, "count");
             span.total_ns = require_u64(entry, "total_ns");
             report.spans.push_back(std::move(span));
@@ -624,7 +557,7 @@ RunTelemetrySession::RunTelemetrySession(std::string campaign_id,
     if (!trace_path_.empty()) trace::set_enabled(true);
     start_ = telemetry::snapshot();
     cpu_start_ = telemetry::process_cpu_seconds();
-    wall_start_ns_ = steady_ns();
+    wall_start_ns_ = telemetry::steady_now_ns();
 }
 
 RunTelemetrySession::~RunTelemetrySession() {
@@ -693,7 +626,7 @@ void RunTelemetrySession::finish(const CampaignProgress& progress) {
     report.hostname = host_name();
     report.utc = utc_timestamp();
     report.wall_seconds =
-        static_cast<double>(steady_ns() - wall_start_ns_) * 1e-9;
+        static_cast<double>(telemetry::steady_now_ns() - wall_start_ns_) * 1e-9;
     report.cpu_seconds = telemetry::process_cpu_seconds() - cpu_start_;
     report.telemetry_enabled = true;
     report.counters = telemetry::snapshot().delta_since(start_);

@@ -4,8 +4,9 @@
 // Every driver (DES TVLA, sequence experiments, mean power) can emit a
 // versioned JSON report describing what ran and what it cost: campaign
 // identity (the same fingerprint the checkpoint format uses), seed,
-// wall/CPU time, the telemetry counter dump, checkpoint/resume history
-// and the driver's headline metrics (peak |t| per order).  Reports are
+// wall/CPU time, the telemetry registry delta (sparse counters and
+// histograms, as the daemon's metrics verb writes them), checkpoint/resume
+// history and the driver's headline metrics (peak |t| per order).  Reports are
 // written with atomic_write_file so a crash never leaves a torn file,
 // and they are pure observability -- the runtime never reads one back.
 //
@@ -86,8 +87,8 @@ struct RunReport {
     CampaignFingerprint fingerprint;
     unsigned workers = 0;
     unsigned lanes = 0;
-    /// v4 run attribution (support/runenv.hpp); "" in v1-v3 files and
-    /// when the producer could not resolve a value.
+    /// v4 run attribution (support/runenv.hpp); "" when the producer
+    /// could not resolve a value.
     std::string revision;                 // git commit of the producer
     std::string hostname;
     std::string utc;                      // "YYYY-MM-DDTHH:MM:SSZ"
@@ -124,7 +125,7 @@ struct RunReport {
 [[nodiscard]] std::string resolve_trace_path(const CampaignRunOptions& run,
                                              const std::string& default_id);
 
-/// Serializes the report as pretty-printed JSON (trailing newline).
+/// Serializes the report as one line of JSON (trailing newline).
 [[nodiscard]] std::string render_run_report(const RunReport& report);
 
 /// render + atomic_write_file; throws CampaignError{IoFailure} on I/O
@@ -165,10 +166,11 @@ inline constexpr std::size_t kJsonMaxDepth = 64;
 /// deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
-/// Decodes a parsed report document (any accepted schema version); throws
-/// std::runtime_error on schema violations.  Exposed so the ledger can
-/// ingest report *text* it obtained elsewhere (a spool, a socket) without
-/// a temp file; read_run_report delegates here.
+/// Decodes a parsed v4 report document; throws std::runtime_error on
+/// schema violations, including a field of the wrong JSON kind (a
+/// negative, fractional or string counter never reads as 0).  Exposed so
+/// the ledger can ingest report *text* it obtained elsewhere (a spool, a
+/// socket) without a temp file; read_run_report delegates here.
 [[nodiscard]] RunReport decode_run_report(const JsonValue& root);
 
 /// Reads back a report written by write_run_report; nullopt when the
@@ -240,7 +242,7 @@ private:
     bool finished_ = false;
     telemetry::Snapshot start_;
     double cpu_start_ = 0.0;
-    std::int64_t wall_start_ns_ = 0;
+    std::uint64_t wall_start_ns_ = 0;
     telemetry::ProgressMeter meter_;
     std::vector<std::pair<std::string, double>> metrics_;
     AttributionReport attribution_;

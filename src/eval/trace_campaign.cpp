@@ -1,7 +1,6 @@
 #include "eval/trace_campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -209,7 +208,7 @@ struct Pipeline {
                                 std::min<std::size_t>(lanes, end - first)),
                             bins, acc.attr);
             w.drive_lanes(group);
-            phases.lap(telemetry::Counter::kPhaseSimNanos);
+            phases.lap(telemetry::Histogram::kPhaseSimNanos);
 
             // Fused fold, chunk by chunk: the chunk's noisy rows (noise
             // drawn in bin order from each trace's own stream) go into
@@ -227,7 +226,7 @@ struct Pipeline {
                     if (fold.count_toggles)
                         for (unsigned lane = 0; lane < live; ++lane)
                             acc.toggles += recorder.lane_toggles(lane);
-                    phases.lap(telemetry::Counter::kPhaseNoiseNanos);
+                    phases.lap(telemetry::Histogram::kPhaseNoiseNanos);
                     for (unsigned lane = 0; lane < live; ++lane)
                         acc.bank.add_trace(
                             ((group.fixed[c] >> lane) & 1u) != 0,
@@ -237,14 +236,14 @@ struct Pipeline {
                         for (std::size_t i = 0; i < bins; ++i)
                             acc.sum[i] += recorder.sample(i, lane);
                 }
-                phases.lap(telemetry::Counter::kPhaseMomentsNanos);
+                phases.lap(telemetry::Histogram::kPhaseMomentsNanos);
                 if (!worker.probes.empty()) worker.probes[c].fold_group();
-                phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+                phases.lap(telemetry::Histogram::kPhaseAttributionNanos);
             }
         }
         // The probes' staged block subtotals land before acc is read.
         for (auto& probe : worker.probes) probe.spill_block();
-        phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+        phases.lap(telemetry::Histogram::kPhaseAttributionNanos);
         phases.flush();
         if (telemetry::enabled())
             telemetry::record_sim_block(worker.sim.stats(), worker.last_stats);
@@ -265,22 +264,22 @@ struct Pipeline {
             worker.recorder.begin_trace(bins);
             if (worker.probe) worker.probe->begin_trace();
             const bool fixed = w.drive_trace(worker.sim, trace);
-            phases.lap(telemetry::Counter::kPhaseSimNanos);
+            phases.lap(telemetry::Histogram::kPhaseSimNanos);
             if (moments) {
                 Xoshiro256 noise_rng = trace_rng(seed, kNoiseStream, trace);
                 worker.recorder.noisy_trace_into(noise_rng, fold.noise_sigma,
                                                  worker.noisy);
                 if (fold.count_toggles)
                     acc.toggles += worker.recorder.trace_toggles();
-                phases.lap(telemetry::Counter::kPhaseNoiseNanos);
+                phases.lap(telemetry::Histogram::kPhaseNoiseNanos);
                 acc.bank.add_trace(fixed, worker.noisy.data());
             } else {
                 const std::vector<double>& row = worker.recorder.trace();
                 for (std::size_t i = 0; i < bins; ++i) acc.sum[i] += row[i];
             }
-            phases.lap(telemetry::Counter::kPhaseMomentsNanos);
+            phases.lap(telemetry::Histogram::kPhaseMomentsNanos);
             if (worker.probe) worker.probe->fold_trace(fixed, acc.attr);
-            phases.lap(telemetry::Counter::kPhaseAttributionNanos);
+            phases.lap(telemetry::Histogram::kPhaseAttributionNanos);
         }
         phases.flush();
         if (telemetry::enabled())
@@ -411,14 +410,13 @@ struct Runner {
     /// surfaced once.
     void checkpoint(std::size_t completed) {
         if (path.empty() || checkpoints_disabled) return;
-        const bool telem = telemetry::enabled();
         // The wave loop runs on the submitting thread, so the ambient
         // parent (a service execute span, when one is open) is correct.
-        const trace::ScopedSpan span(
-            "checkpoint", run.trace_parent,
-            {{"completed_blocks", std::to_string(completed)}});
-        const auto start = telem ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
+        telemetry::ScopedInterval interval(
+            telemetry::Histogram::kCheckpointWriteNanos, run.trace_parent);
+        if (interval.id() != 0)
+            interval.set_attrs(
+                {{"completed_blocks", std::to_string(completed)}});
         SnapshotWriter out = begin_checkpoint(fingerprint, completed, stack.size());
         for (const auto& [spanned, acc] : stack) {
             out.u64(spanned);
@@ -437,6 +435,7 @@ struct Runner {
                               error.what() + "); retrying");
                 });
         } catch (const CampaignError& error) {
+            interval.skip_histogram();  // only landed snapshots count
             if (error.kind() != CampaignErrorKind::IoFailure ||
                 !run.degrade_on_io_error)
                 throw;
@@ -451,16 +450,6 @@ struct Runner {
             return;
         }
         prog.checkpoint_blocks.push_back(completed);
-        if (telem) {
-            const auto nanos = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-            telemetry::Shard& shard = telemetry::shard();
-            shard.add(telemetry::Counter::kCheckpointWrites, 1);
-            shard.add(telemetry::Counter::kCheckpointNanos, nanos);
-            shard.observe(telemetry::Histogram::kCheckpointWriteNanos, nanos);
-        }
     }
 
     /// Runs block `b` on the calling pool worker's replica (built lazily,
@@ -478,42 +467,22 @@ struct Runner {
             else
                 replica = std::make_unique<ScalarWorker>(p.w, p.attribution);
         }
-        // Times the block when collection is on and, with span tracing on,
-        // opens a "block" span for its duration (joining the ambient stack
-        // so PhaseClock's flushed phase leaves nest under it).
-        const bool telem = telemetry::enabled();
-        const bool tracing = trace::enabled();
-        const std::uint64_t start_ns =
-            telem || tracing ? telemetry::steady_now_ns() : 0;
-        trace::SpanId span = 0;
-        if (tracing) {
-            span = trace::new_span_id();
-            trace::push_ambient(span);
-        }
-        BlockAcc block = p.make_acc();
         const std::size_t begin = plan.block_begin(b);
         const std::size_t end = plan.block_end(b);
-        p.run_block(*replica, begin, end, block);
-        acc.emplace(std::move(block));
-
         const std::size_t traces = end - begin;
-        const std::uint64_t end_ns =
-            telem || tracing ? telemetry::steady_now_ns() : 0;
-        if (tracing) {
-            trace::pop_ambient();
-            trace::record_span(span, "block", run.trace_parent, start_ns, end_ns,
-                               {{"block", std::to_string(b)},
-                                {"traces", std::to_string(traces)}});
+        {
+            // The block's interval: a "block" span with tracing on, which
+            // PhaseClock's phase leaves nest under (ambient stack).
+            telemetry::ScopedInterval interval(
+                telemetry::Histogram::kBlockNanos, run.trace_parent);
+            if (interval.id() != 0)
+                interval.set_attrs({{"block", std::to_string(b)},
+                                    {"traces", std::to_string(traces)}});
+            BlockAcc block = p.make_acc();
+            p.run_block(*replica, begin, end, block);
+            acc.emplace(std::move(block));
         }
-        if (telem) {
-            const std::uint64_t nanos = end_ns - start_ns;
-            telemetry::Shard& shard = telemetry::shard();
-            shard.add(telemetry::Counter::kCampaignBlocks, 1);
-            shard.add(telemetry::Counter::kCampaignTraces, traces);
-            shard.add(telemetry::Counter::kCampaignBlockNanos, nanos);
-            shard.observe(telemetry::Histogram::kBlockNanos, nanos);
-            shard.observe(telemetry::Histogram::kBlockTraces, traces);
-        }
+        telemetry::observe(telemetry::Histogram::kBlockTraces, traces);
         if (meter != nullptr) meter->advance(traces);
     }
 

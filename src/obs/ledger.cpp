@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -12,9 +11,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "service/json_writer.hpp"
 #include "support/atomic_file.hpp"
 #include "support/campaign_error.hpp"
+#include "support/json.hpp"
 #include "support/snapshot.hpp"
 #include "support/telemetry.hpp"
 
@@ -27,9 +26,6 @@ using eval::JsonValue;
 std::span<const std::uint8_t> as_bytes(std::string_view text) {
     return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
 }
-
-/// JSON has no NaN/Inf; mirror run_report's policy of flattening them.
-double finite(double value) { return std::isfinite(value) ? value : 0.0; }
 
 const JsonValue& require(const JsonValue& object, std::string_view key) {
     const JsonValue* member = object.find(key);
@@ -95,7 +91,7 @@ std::string fingerprint_key(const eval::CampaignFingerprint& fingerprint) {
 }
 
 std::string render_ledger_entry(const LedgerEntry& entry) {
-    service::JsonWriter w;
+    JsonWriter w;
     w.begin_object();
     w.member("schema", kLedgerSchema);
     w.member("version", static_cast<std::uint64_t>(kLedgerVersion));
@@ -116,9 +112,9 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
     w.member("backend", entry.backend);
     w.member("workers", static_cast<std::uint64_t>(entry.workers));
     w.member("lanes", static_cast<std::uint64_t>(entry.lanes));
-    w.member("wall_seconds", finite(entry.wall_seconds));
-    w.member("cpu_seconds", finite(entry.cpu_seconds));
-    w.member("max_abs_t1", finite(entry.max_abs_t1));
+    w.member("wall_seconds", entry.wall_seconds);
+    w.member("cpu_seconds", entry.cpu_seconds);
+    w.member("max_abs_t1", entry.max_abs_t1);
     w.member("toggles", entry.toggles);
     w.key("attribution");
     w.begin_array();
@@ -126,7 +122,7 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
         w.begin_object();
         w.member("net", net.net);
         w.member("name", net.name);
-        w.member("max_abs_t", finite(net.max_abs_t));
+        w.member("max_abs_t", net.max_abs_t);
         w.member("toggles", net.toggles);
         w.member("glitches", net.glitches);
         w.end_object();
@@ -137,14 +133,14 @@ std::string render_ledger_entry(const LedgerEntry& entry) {
     for (const LedgerPhase& phase : entry.phases) {
         w.begin_object();
         w.member("name", phase.name);
-        w.member("cpu_seconds", finite(phase.cpu_seconds));
-        w.member("wall_seconds", finite(phase.wall_seconds));
+        w.member("cpu_seconds", phase.cpu_seconds);
+        w.member("wall_seconds", phase.wall_seconds);
         w.end_object();
     }
     w.end_array();
     w.key("metrics");
     w.begin_object();
-    for (const auto& [name, value] : entry.metrics) w.member(name, finite(value));
+    for (const auto& [name, value] : entry.metrics) w.member(name, value);
     w.end_object();
     w.end_object();
     return w.take();
@@ -325,21 +321,20 @@ LedgerEntry entry_from_run_report(const eval::RunReport& report) {
         entry.attribution.push_back(LedgerNet{net.net, net.name, net.max_abs_t,
                                               net.toggles, net.glitches});
     }
-    // Phase split: CPU seconds from the phase.* counters (summed across
-    // workers), wall seconds from the same-named trace span rollup when
-    // the run collected one.
-    const std::pair<const char*, telemetry::Counter> kPhases[] = {
-        {"sim", telemetry::Counter::kPhaseSimNanos},
-        {"noise", telemetry::Counter::kPhaseNoiseNanos},
-        {"moments", telemetry::Counter::kPhaseMomentsNanos},
-        {"attribution", telemetry::Counter::kPhaseAttributionNanos},
-        {"checkpoint", telemetry::Counter::kCheckpointNanos},
-    };
-    for (const auto& [name, counter] : kPhases) {
+    // Phase split: CPU seconds from the phase histograms' sums (summed
+    // across workers), wall seconds from the same-named trace span rollup
+    // when the run collected one.
+    for (const telemetry::Histogram histogram :
+         {telemetry::Histogram::kPhaseSimNanos,
+          telemetry::Histogram::kPhaseNoiseNanos,
+          telemetry::Histogram::kPhaseMomentsNanos,
+          telemetry::Histogram::kPhaseAttributionNanos,
+          telemetry::Histogram::kCheckpointWriteNanos}) {
         LedgerPhase phase;
-        phase.name = name;
+        phase.name = telemetry::histogram_span_name(histogram);
         phase.cpu_seconds =
-            static_cast<double>(report.counters.value(counter)) * 1e-9;
+            static_cast<double>(report.counters.histogram(histogram).sum) *
+            1e-9;
         for (const trace::SpanSummary& span : report.spans)
             if (span.name == phase.name)
                 phase.wall_seconds = static_cast<double>(span.total_ns) * 1e-9;

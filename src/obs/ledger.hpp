@@ -26,7 +26,7 @@
 // bit comparisons, not epsilon tests.
 //
 // Entries are ingested from three producers:
-//   * run report files (eval/run_report.hpp, any schema version),
+//   * run report files (eval/run_report.hpp, version v4),
 //   * the bench harness's BENCH_batch_sim.json (one entry per sweep row
 //     plus a headline entry carrying the overhead/speedup gates),
 //   * the campaign service (ServiceConfig::ledger_path appends one entry
@@ -47,10 +47,11 @@ namespace glitchmask::obs {
 inline constexpr const char* kLedgerSchema = "glitchmask.ledger";
 inline constexpr std::uint32_t kLedgerVersion = 1;
 
-/// Per-phase cost split.  cpu_seconds comes from the phase.* telemetry
-/// counters (summed across workers -- CPU time, can exceed the run's
-/// wall clock); wall_seconds from the trace span rollup where one was
-/// collected.  0 = not measured, never "instant".
+/// Per-phase cost split.  cpu_seconds is the sum of the phase's telemetry
+/// histogram (phase.*_nanos, checkpoint.write_latency_nanos), summed
+/// across workers -- CPU time, can exceed the run's wall clock;
+/// wall_seconds comes from the trace span rollup where one was collected.
+/// 0 = not measured, never "instant".
 struct LedgerPhase {
     std::string name;  // "sim", "noise", "moments", ...
     double cpu_seconds = 0.0;
@@ -80,7 +81,7 @@ struct LedgerEntry {
     std::string host;
     std::string utc;       // "YYYY-MM-DDTHH:MM:SSZ"; sorts chronologically
     std::string status{"completed"};  // job_state_name-style verdict
-    std::string backend;   // bench rows: "scalar", "compiled" (older: "event")
+    std::string backend;   // bench rows: "event" (scalar engine), "compiled"
     unsigned workers = 0;
     unsigned lanes = 0;
     double wall_seconds = 0.0;
@@ -148,13 +149,12 @@ struct IngestOverrides {
     std::string utc;
 };
 
-/// One entry from a run report (any schema version the reader accepts).
+/// One entry from a (v4) run report.
 [[nodiscard]] LedgerEntry entry_from_run_report(const eval::RunReport& report);
 
 /// Entries from a parsed BENCH_batch_sim.json: one per sweep row plus a
 /// "<workload>/headline" entry carrying the top-level overhead/speedup
-/// figures.  Accepts both the current "phases_cpu" key and the legacy
-/// "phases" name.
+/// figures; a row's "phases_cpu" object becomes its phase split.
 [[nodiscard]] std::vector<LedgerEntry> entries_from_bench_json(
     const eval::JsonValue& json);
 

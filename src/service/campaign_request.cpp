@@ -5,7 +5,7 @@
 #include <string_view>
 
 #include "obs/ledger.hpp"
-#include "service/json_writer.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::service {
 

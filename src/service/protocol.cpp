@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "service/json_writer.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::service {
 
@@ -36,15 +36,7 @@ void encode_job_members(JsonWriter& w, const JobStatus& status) {
     }
     if (job_state_terminal(status.state) && !status.spans.empty()) {
         w.key("spans");
-        w.begin_array();
-        for (const trace::SpanSummary& span : status.spans) {
-            w.begin_object();
-            w.member("name", span.name);
-            w.member("count", span.count);
-            w.member("total_ns", span.total_ns);
-            w.end_object();
-        }
-        w.end_array();
+        trace::write_json(w, status.spans);
     }
 }
 
@@ -202,42 +194,7 @@ std::string encode_metrics(const telemetry::Snapshot& snapshot,
     w.begin_object();
     w.member("event", "metrics");
 
-    w.key("counters");
-    w.begin_object();
-    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-        if (snapshot.values[i] == 0) continue;
-        w.member(telemetry::counter_name(
-                     static_cast<telemetry::Counter>(i)),
-                 snapshot.values[i]);
-    }
-    w.end_object();
-
-    // Sparse histograms: only observed families, only nonzero buckets,
-    // each bucket as [floor, count].
-    w.key("histograms");
-    w.begin_object();
-    for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
-        const telemetry::HistogramSnapshot& h = snapshot.histograms[i];
-        if (h.count == 0) continue;
-        w.key(telemetry::histogram_name(
-            static_cast<telemetry::Histogram>(i)));
-        w.begin_object();
-        w.member("count", h.count);
-        w.member("sum", h.sum);
-        w.member("max", h.max);
-        w.key("buckets");
-        w.begin_array();
-        for (std::size_t b = 0; b < telemetry::kHistogramBuckets; ++b) {
-            if (h.buckets[b] == 0) continue;
-            w.begin_array();
-            w.value(telemetry::histogram_bucket_floor(b));
-            w.value(h.buckets[b]);
-            w.end_array();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_object();
+    telemetry::write_json(w, snapshot);
 
     w.key("gauges");
     w.begin_object();

@@ -63,7 +63,6 @@ CampaignService::SubmitResult CampaignService::submit(
     const CampaignRequest& request) {
     const eval::CampaignFingerprint fingerprint = request_fingerprint(request);
     std::string key = fingerprint_hex(fingerprint);
-    const bool telem = telemetry::enabled();
     const bool tracing = trace::enabled();
 
     JobStatus completed_now;
@@ -81,11 +80,15 @@ CampaignService::SubmitResult CampaignService::submit(
 
         // Cache hit: the campaign already ran to completion under this
         // identity; answer without simulating.
-        const std::uint64_t scan_begin = (telem || tracing) ? now_ns() : 0;
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            if (it->key != key) continue;
-            CacheEntry entry = std::move(*it);
-            cache_.erase(it);
+        const bool timed = telemetry::enabled() || tracing;
+        const std::uint64_t scan_begin = timed ? now_ns() : 0;
+        const auto hit = std::find_if(
+            cache_.begin(), cache_.end(),
+            [&](const CacheEntry& entry) { return entry.key == key; });
+        const std::uint64_t scan_end = timed ? now_ns() : 0;
+        if (hit != cache_.end()) {
+            CacheEntry entry = std::move(*hit);
+            cache_.erase(hit);
             cache_.push_front(entry);
             auto job = std::make_shared<Job>();
             job->id = next_id_++;
@@ -100,13 +103,12 @@ CampaignService::SubmitResult CampaignService::submit(
             stats_.cache_hits++;
             stats_.completed++;
             count(telemetry::Counter::kServiceCacheHits);
+            // A cache hit still gets a (tiny) trace tree: one root with
+            // the lookup as its only child.
+            if (tracing) job->trace_root = trace::new_span_id();
+            telemetry::record_interval(telemetry::Histogram::kCacheLookupNanos,
+                                       scan_begin, scan_end, job->trace_root);
             if (tracing) {
-                // A cache hit still gets a (tiny) trace tree: one root
-                // with the lookup as its only child.
-                const std::uint64_t scan_end = now_ns();
-                job->trace_root = trace::new_span_id();
-                trace::record_span(trace::new_span_id(), "cache_lookup",
-                                   job->trace_root, scan_begin, scan_end);
                 trace::record_span(
                     job->trace_root, "job", 0, scan_begin, scan_end,
                     {{"job", std::to_string(job->id)},
@@ -122,13 +124,12 @@ CampaignService::SubmitResult CampaignService::submit(
             completed_now = snapshot_locked(*job);
             notify_completion = true;
             done_cv_.notify_all();
-            break;
-        }
-        if (telem) {
+        } else {
+            stats_.cache_misses++;
+            // A miss has no job tree yet to hang a span on.
             telemetry::observe(telemetry::Histogram::kCacheLookupNanos,
-                               now_ns() - scan_begin);
+                               scan_end - scan_begin);
         }
-        if (!notify_completion) stats_.cache_misses++;
 
         if (!notify_completion) {
             // Coalesce onto an identical queued/running job: one run
@@ -485,10 +486,6 @@ void CampaignService::executor_loop() {
                                  queue_.size());
             telemetry::set_gauge(telemetry::Gauge::kServiceRunningJobs,
                                  running_);
-            if (telemetry::enabled() && job->submit_ns != 0 &&
-                job->start_ns >= job->submit_ns)
-                telemetry::observe(telemetry::Histogram::kQueueWaitNanos,
-                                   job->start_ns - job->submit_ns);
         }
         run_job(job);
     }
@@ -500,14 +497,14 @@ void CampaignService::run_job(const JobPtr& job) {
     const ScopedLogContext log_context(
         "job " + std::to_string(job->id) + " fp=" +
         job->fingerprint_key.substr(0, 8));
-    const bool telem = telemetry::enabled();
     const bool tracing = trace::enabled() && job->trace_root != 0;
-    if (tracing && job->submit_ns != 0 && job->start_ns >= job->submit_ns) {
-        // Queue wait began on the submitter's thread and ended here:
-        // recorded retrospectively under a pre-allocated id.
-        trace::record_span(trace::new_span_id(), "queue_wait",
-                           job->trace_root, job->submit_ns, job->start_ns);
-    }
+    // Queue wait began on the submitter's thread and ended at pickup:
+    // recorded retrospectively under the job's root.
+    const bool queued = job->submit_ns != 0 && job->start_ns >= job->submit_ns;
+    if (queued)
+        telemetry::record_interval(telemetry::Histogram::kQueueWaitNanos,
+                                   job->submit_ns, job->start_ns,
+                                   job->trace_root);
 
     JobState state = JobState::Completed;
     bool started = true;
@@ -544,10 +541,12 @@ void CampaignService::run_job(const JobPtr& job) {
             if (progress_hook_) progress_hook_(job->id, update);
         };
 
+        // The execute span's id goes out before the run, so the
+        // campaign's block and checkpoint spans nest under it.
+        const trace::SpanId exec_span =
+            trace::enabled() ? trace::new_span_id() : 0;
+        run.trace_parent = exec_span;
         try {
-            const trace::ScopedSpan exec("execute", job->trace_root,
-                                         {{"job", std::to_string(job->id)}});
-            run.trace_parent = exec.id();
             exec_begin = now_ns();
             job->outcome = run_campaign_request(job->request, std::move(run));
             exec_end = now_ns();
@@ -566,18 +565,17 @@ void CampaignService::run_job(const JobPtr& job) {
             job->error_message = error.what();
             state = JobState::Failed;
         }
-        if (telem) {
-            telemetry::observe(telemetry::Histogram::kExecuteNanos,
-                               exec_end - exec_begin);
-            // Deterministic family: completed trace counts are a pure
-            // function of the workload, so this histogram is bit-identical
-            // at any executor count.
-            if (state == JobState::Completed)
-                telemetry::observe(
-                    telemetry::Histogram::kJobTraces,
-                    static_cast<std::uint64_t>(
-                        job->outcome.completed_traces));
-        }
+        telemetry::record_interval(telemetry::Histogram::kExecuteNanos,
+                                   exec_begin, exec_end, job->trace_root,
+                                   {{"job", std::to_string(job->id)}},
+                                   exec_span);
+        // Deterministic family: completed trace counts are a pure
+        // function of the workload, so this histogram is bit-identical at
+        // any executor count.
+        if (state == JobState::Completed)
+            telemetry::observe(
+                telemetry::Histogram::kJobTraces,
+                static_cast<std::uint64_t>(job->outcome.completed_traces));
     }
 
     std::vector<trace::SpanSummary> spans;
@@ -606,7 +604,7 @@ void CampaignService::run_job(const JobPtr& job) {
         // latency breakdown.  Name-sorted like summarize_spans.
         if (exec_end >= exec_begin && exec_begin != 0)
             spans.push_back({"execute", 1, exec_end - exec_begin});
-        if (job->submit_ns != 0 && job->start_ns >= job->submit_ns)
+        if (queued)
             spans.push_back(
                 {"queue_wait", 1, job->start_ns - job->submit_ns});
     }

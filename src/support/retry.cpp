@@ -23,30 +23,17 @@ bool errno_transient(int error_number) noexcept {
 
 bool backoff_sleep(unsigned ms, const CancelToken* cancel) noexcept {
     using clock = std::chrono::steady_clock;
-    const bool telem = telemetry::enabled();
-    const auto start = clock::now();
-    const auto deadline = start + std::chrono::milliseconds(ms);
-    bool completed = true;
+    const telemetry::ScopedInterval interval(
+        telemetry::Histogram::kRetryBackoffNanos);
+    const auto deadline = clock::now() + std::chrono::milliseconds(ms);
     for (;;) {
-        if (cancel != nullptr && cancel->requested()) {
-            completed = false;
-            break;
-        }
+        if (cancel != nullptr && cancel->requested()) return false;
         const auto now = clock::now();
-        if (now >= deadline) break;
-        const auto slice = std::min<std::chrono::steady_clock::duration>(
+        if (now >= deadline) return true;
+        const auto slice = std::min<clock::duration>(
             deadline - now, std::chrono::milliseconds(2));
         std::this_thread::sleep_for(slice);
     }
-    if (telem) {
-        const auto nanos =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                                 start)
-                .count();
-        telemetry::observe(telemetry::Histogram::kRetryBackoffNanos,
-                           static_cast<std::uint64_t>(nanos));
-    }
-    return completed;
 }
 
 }  // namespace glitchmask

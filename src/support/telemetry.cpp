@@ -4,10 +4,12 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <mutex>
 #include <vector>
 
 #include "support/env.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::telemetry {
 
@@ -33,16 +35,6 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"sim.queue_peak", MergeKind::kMax, true},
     {"pool.tasks_executed", MergeKind::kSum, false},
     {"pool.tasks_stolen", MergeKind::kSum, false},
-    {"pool.idle_nanos", MergeKind::kSum, false},
-    {"campaign.blocks", MergeKind::kSum, true},
-    {"campaign.traces", MergeKind::kSum, true},
-    {"campaign.block_nanos", MergeKind::kSum, false},
-    {"checkpoint.writes", MergeKind::kSum, false},
-    {"checkpoint.write_nanos", MergeKind::kSum, false},
-    {"phase.sim_nanos", MergeKind::kSum, false},
-    {"phase.noise_nanos", MergeKind::kSum, false},
-    {"phase.moments_nanos", MergeKind::kSum, false},
-    {"phase.attribution_nanos", MergeKind::kSum, false},
     {"io.retries", MergeKind::kSum, false},
     {"service.jobs", MergeKind::kSum, false},
     {"service.cache_hits", MergeKind::kSum, false},
@@ -51,18 +43,24 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
 struct HistogramInfo {
     const char* name;
     bool deterministic;
+    const char* span;  // record_interval's span name; nullptr = none
 };
 
 constexpr HistogramInfo kHistogramInfo[kHistogramCount] = {
-    {"service.queue_wait_nanos", false},
-    {"service.execute_nanos", false},
-    {"checkpoint.write_latency_nanos", false},
-    {"service.cache_lookup_nanos", false},
-    {"io.retry_backoff_nanos", false},
-    {"service.watchdog_fire_nanos", false},
-    {"campaign.block_latency_nanos", false},
-    {"campaign.block_traces", true},
-    {"service.job_traces", true},
+    {"service.queue_wait_nanos", false, "queue_wait"},
+    {"service.execute_nanos", false, "execute"},
+    {"checkpoint.write_latency_nanos", false, "checkpoint"},
+    {"service.cache_lookup_nanos", false, "cache_lookup"},
+    {"io.retry_backoff_nanos", false, nullptr},
+    {"service.watchdog_fire_nanos", false, nullptr},
+    {"campaign.block_latency_nanos", false, "block"},
+    {"campaign.block_traces", true, nullptr},
+    {"service.job_traces", true, nullptr},
+    {"phase.sim_nanos", false, "sim"},
+    {"phase.noise_nanos", false, "noise"},
+    {"phase.moments_nanos", false, "moments"},
+    {"phase.attribution_nanos", false, "attribution"},
+    {"pool.idle_nanos", false, nullptr},
 };
 
 constexpr const char* kGaugeNames[kGaugeCount] = {
@@ -174,6 +172,10 @@ const char* histogram_name(Histogram histogram) noexcept {
     return kHistogramInfo[static_cast<std::size_t>(histogram)].name;
 }
 
+const char* histogram_span_name(Histogram histogram) noexcept {
+    return kHistogramInfo[static_cast<std::size_t>(histogram)].span;
+}
+
 bool histogram_deterministic(Histogram histogram) noexcept {
     return kHistogramInfo[static_cast<std::size_t>(histogram)].deterministic;
 }
@@ -196,35 +198,51 @@ std::uint64_t steady_now_ns() noexcept {
     return static_cast<std::uint64_t>(steady_ns());
 }
 
-void PhaseClock::flush() {
-    if (!enabled_ && !tracing_) return;
-    // Stitch the phase totals into the trace as leaf spans under the
-    // ambient (block) span, laid out sequentially from the first mark --
-    // the per-phase durations are exact, the layout within the block is a
-    // rendering convention (phases interleave in reality).
-    if (tracing_ && first_ != 0) {
-        if (const trace::SpanId parent = trace::current_span(); parent != 0) {
-            static constexpr std::pair<Counter, const char*> kPhases[] = {
-                {Counter::kPhaseSimNanos, "sim"},
-                {Counter::kPhaseNoiseNanos, "noise"},
-                {Counter::kPhaseMomentsNanos, "moments"},
-                {Counter::kPhaseAttributionNanos, "attribution"},
-            };
-            std::uint64_t cursor = first_;
-            for (const auto& [counter, name] : kPhases) {
-                const std::uint64_t nanos =
-                    nanos_[static_cast<std::size_t>(counter)];
-                if (nanos == 0) continue;
-                trace::record_span(trace::new_span_id(), name, parent, cursor,
-                                   cursor + nanos);
-                cursor += nanos;
-            }
-        }
+void record_interval(Histogram histogram, std::uint64_t begin_ns,
+                     std::uint64_t end_ns, trace::SpanId parent,
+                     trace::SpanAttrs attrs, trace::SpanId id) {
+    if (enabled()) shard().observe(histogram, end_ns - begin_ns);
+    const char* span = histogram_span_name(histogram);
+    if (span != nullptr && trace::enabled())
+        trace::record_span(id != 0 ? id : trace::new_span_id(), span, parent,
+                           begin_ns, end_ns, std::move(attrs));
+}
+
+ScopedInterval::ScopedInterval(Histogram histogram, trace::SpanId parent)
+    : histogram_(histogram), observe_(enabled()) {
+    const bool traced =
+        histogram_span_name(histogram) != nullptr && trace::enabled();
+    timed_ = observe_ || traced;
+    if (!timed_) return;
+    exceptions_ = std::uncaught_exceptions();
+    if (traced) {
+        id_ = trace::new_span_id();
+        parent_ = parent != 0 ? parent : trace::current_span();
+        trace::push_ambient(id_);
     }
-    if (enabled_) {
-        Shard& s = shard();
-        for (std::size_t i = 0; i < kCounterCount; ++i)
-            if (nanos_[i] != 0) s.add(static_cast<Counter>(i), nanos_[i]);
+    begin_ns_ = steady_now_ns();
+}
+
+ScopedInterval::~ScopedInterval() {
+    if (!timed_) return;
+    const std::uint64_t end_ns = steady_now_ns();
+    if (id_ != 0) trace::pop_ambient();
+    if (observe_ && std::uncaught_exceptions() == exceptions_)
+        shard().observe(histogram_, end_ns - begin_ns_);
+    if (id_ != 0)
+        trace::record_span(id_, histogram_span_name(histogram_), parent_,
+                           begin_ns_, end_ns, std::move(attrs_));
+}
+
+void PhaseClock::flush() {
+    if (!on_ || first_ == 0) return;
+    const trace::SpanId parent = trace::current_span();
+    std::uint64_t cursor = first_;
+    for (std::size_t i = 0; i < kHistogramCount; ++i) {
+        if (nanos_[i] == 0) continue;
+        record_interval(static_cast<Histogram>(i), cursor, cursor + nanos_[i],
+                        parent);
+        cursor += nanos_[i];
     }
     nanos_.fill(0);
     first_ = 0;
@@ -356,6 +374,38 @@ std::string render_prometheus_text(const Snapshot& snapshot) {
         out += name + ' ' + std::to_string(snapshot.gauges[g]) + '\n';
     }
     return out;
+}
+
+void write_json(JsonWriter& w, const Snapshot& snapshot) {
+    w.key("counters");
+    w.begin_object();
+    for (std::size_t i = 0; i < kCounterCount; ++i)
+        if (snapshot.values[i] != 0)
+            w.member(kCounterInfo[i].name, snapshot.values[i]);
+    w.end_object();
+    w.key("histograms");
+    w.begin_object();
+    for (std::size_t i = 0; i < kHistogramCount; ++i) {
+        const HistogramSnapshot& h = snapshot.histograms[i];
+        if (h.count == 0) continue;
+        w.key(kHistogramInfo[i].name);
+        w.begin_object();
+        w.member("count", h.count);
+        w.member("sum", h.sum);
+        w.member("max", h.max);
+        w.key("buckets");
+        w.begin_array();
+        for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+            if (h.buckets[b] == 0) continue;
+            w.begin_array();
+            w.value(histogram_bucket_floor(b));
+            w.value(h.buckets[b]);
+            w.end_array();
+        }
+        w.end_array();
+        w.end_object();
+    }
+    w.end_object();
 }
 
 double process_cpu_seconds() noexcept {

@@ -1,5 +1,6 @@
-// Campaign telemetry: a zero-cost-when-off counter registry with
-// per-thread shards, plus the progress/ETA meter built on it.
+// Campaign telemetry: a zero-cost-when-off registry of counters and
+// histograms with per-thread shards, the one call that records a timed
+// interval, and the progress/ETA meter built on the registry.
 //
 // Design centre (mirrors the determinism story of the campaign engine):
 //
@@ -10,7 +11,7 @@
 //     neither serializes workers nor perturbs a single result bit.
 //   * A shard is thread-local and written lock-free (relaxed atomics, one
 //     writer); snapshot() folds all live shards plus the totals retired
-//     by exited threads.  Every counter merges by an associative,
+//     by exited threads.  Every entry merges by an associative,
 //     commutative operation (u64 sum or max), so the merged totals are
 //     independent of thread scheduling: for a fixed campaign the
 //     deterministic counters (events, toggles, glitches, ...) are exact
@@ -18,9 +19,14 @@
 //     toggles are also exact across the scalar/bitsliced engines; the
 //     schedule-shape counters (events, queue peak, glitch/cancel split)
 //     are engine-specific.
-//   * Wall-clock counters (block/checkpoint/idle nanos) are measurements,
-//     not results -- counter_deterministic() separates the two classes so
-//     tests and the determinism bench compare only the former.
+//   * Counters hold counts only; every duration is a histogram.  A timed
+//     interval is recorded by one call (record_interval, or the scoped
+//     ScopedInterval) from one pair of clock reads: it observes the
+//     family's histogram when telemetry is on and, when span tracing is
+//     on (support/trace.hpp), records the family's span.  So for every
+//     family with a span name, the histogram's count and sum equal the
+//     span rollup's count and total_ns.  histogram_deterministic()
+//     separates the wall-clock families from the trace-count ones.
 //
 // The registry is process-global and accumulates across campaigns; a
 // driver brackets its run with two snapshot() calls and reports the delta
@@ -36,8 +42,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "support/trace.hpp"
+
+namespace glitchmask {
+class JsonWriter;  // support/json.hpp
+}
 
 namespace glitchmask::telemetry {
 
@@ -52,16 +63,6 @@ enum class Counter : unsigned {
     kSimQueuePeak,         // event-queue high-water mark (merged by max)
     kPoolTasksExecuted,    // tasks a pool worker ran
     kPoolTasksStolen,      // tasks taken from another worker's deque
-    kPoolIdleNanos,        // time workers spent parked waiting for work
-    kCampaignBlocks,       // shard blocks completed
-    kCampaignTraces,       // traces folded into block accumulators
-    kCampaignBlockNanos,   // wall time inside run_block
-    kCheckpointWrites,     // snapshots written
-    kCheckpointNanos,      // wall time inside atomic checkpoint writes
-    kPhaseSimNanos,        // block phase: stimulus build + simulation
-    kPhaseNoiseNanos,      // block phase: Gaussian noise row fills
-    kPhaseMomentsNanos,    // block phase: moment-bank trace folds
-    kPhaseAttributionNanos,  // block phase: per-net attribution folds
     kIoRetries,            // transient I/O failures absorbed by retry_io
     kServiceJobs,          // campaign-service jobs executed (not cached)
     kServiceCacheHits,     // submissions served from the result cache
@@ -79,7 +80,7 @@ enum class MergeKind { kSum, kMax };
 [[nodiscard]] MergeKind counter_merge(Counter counter) noexcept;
 
 /// True for counters that are a pure function of the campaign (schedule-
-/// independent); false for wall-clock measurements.
+/// independent); false for scheduling counts.
 [[nodiscard]] bool counter_deterministic(Counter counter) noexcept;
 
 // ----- latency histograms ------------------------------------------------
@@ -87,17 +88,24 @@ enum class MergeKind { kSum, kMax };
 /// Fixed-bucket distributions, sharded and gated exactly like the
 /// counters.  Bucket counts are exact u64s merged by element-wise sum --
 /// associative and commutative, so the merged vector is independent of
-/// which worker observed what in which order.
+/// which worker observed what in which order.  The *Nanos families are
+/// the registry's only durations; the campaign's block count and trace
+/// total are kBlockTraces' count and sum.
 enum class Histogram : unsigned {
     kQueueWaitNanos = 0,     // service: submit -> executor pickup
     kExecuteNanos,           // service: campaign run wall time per job
-    kCheckpointWriteNanos,   // one atomic snapshot write (incl. retries)
+    kCheckpointWriteNanos,   // one landed snapshot write (incl. retries)
     kCacheLookupNanos,       // service: submit-time result-cache scan
     kRetryBackoffNanos,      // retry_io backoff sleeps
     kWatchdogFireNanos,      // observed silence when the watchdog fired
     kBlockNanos,             // campaign block wall time
     kBlockTraces,            // traces per completed block (deterministic)
     kJobTraces,              // completed traces per completed service job
+    kPhaseSimNanos,          // per block: stimulus build + simulation
+    kPhaseNoiseNanos,        // per block: Gaussian noise row fills
+    kPhaseMomentsNanos,      // per block: moment-bank trace folds
+    kPhaseAttributionNanos,  // per block: per-net attribution folds
+    kPoolIdleNanos,          // one parked wait of a pool worker
     kCount
 };
 
@@ -122,6 +130,10 @@ inline constexpr std::size_t kHistogramBuckets = 65;
 /// Stable dotted name used in the metrics verb, run reports and bench
 /// JSON.
 [[nodiscard]] const char* histogram_name(Histogram histogram) noexcept;
+
+/// The span record_interval emits for this family when tracing is on
+/// ("block", "sim", "execute", ...); nullptr for families without one.
+[[nodiscard]] const char* histogram_span_name(Histogram histogram) noexcept;
 
 /// True when the observed values are a pure function of the campaign
 /// (trace counts), so the merged bucket counts are bit-identical at any
@@ -284,7 +296,8 @@ private:
 /// accumulator when the thread exits.
 [[nodiscard]] Shard& shard();
 
-/// Gated convenience for call sites without a cached shard reference.
+/// Gated convenience for values that are not timed intervals (trace
+/// counts, watchdog staleness); intervals go through record_interval.
 inline void observe(Histogram histogram, std::uint64_t value) {
     if (enabled()) shard().observe(histogram, value);
 }
@@ -300,6 +313,13 @@ void reset();
 /// latency families) and gauges, names prefixed `glitchmask_` with dots
 /// mangled to underscores.
 [[nodiscard]] std::string render_prometheus_text(const Snapshot& snapshot);
+
+/// Writes the snapshot's "counters" and "histograms" members in the
+/// sparse form run reports and the metrics verb share: nonzero counters,
+/// observed histogram families, each with count/sum/max and its nonzero
+/// buckets as [floor, count] pairs (histogram_bucket() maps a floor back
+/// to its bucket).  Readers take an absent name as 0.
+void write_json(JsonWriter& w, const Snapshot& snapshot);
 
 /// Process CPU time (user + system, all threads) in seconds.
 [[nodiscard]] double process_cpu_seconds() noexcept;
@@ -321,45 +341,87 @@ struct SimStats {
 /// Call once per completed block with the replica's cumulative stats.
 void record_sim_block(const SimStats& now, SimStats& last);
 
-// ----- phase profiling ---------------------------------------------------
+// ----- timed intervals ---------------------------------------------------
 
-/// Monotonic clock in nanoseconds (the registry's time base).
+/// Monotonic clock in nanoseconds (the registry's and the spans' time
+/// base).
 [[nodiscard]] std::uint64_t steady_now_ns() noexcept;
 
-/// Accumulates wall time into phase counters within one block body.
-/// mark() pins the clock; each lap(counter) credits the time since the
-/// previous mark/lap locally and re-pins, so consecutive laps chain
-/// through interleaved phases without re-reading the clock twice.
-/// flush() folds the local totals into the calling thread's shard once
-/// per block; when span tracing is on and an ambient span is open (the
-/// runner's block span), it additionally emits one leaf span per phase
-/// laid out sequentially from the first mark, so sim/noise/moments/
-/// attribution appear under each block in the exported trace.  All
-/// methods are no-ops when both telemetry and tracing are disabled, so
-/// the block bodies carry no clock reads in the default configuration.
+/// Records one timed interval [begin_ns, end_ns): observes `histogram`
+/// when telemetry is on and, when tracing is on and the family has a span
+/// name, records that span under `parent` (0 = root) with `attrs`.  `id`
+/// is a span id allocated beforehand (0 = allocate one), for a span whose
+/// children are recorded before it closes.
+void record_interval(Histogram histogram, std::uint64_t begin_ns,
+                     std::uint64_t end_ns, trace::SpanId parent = 0,
+                     trace::SpanAttrs attrs = {}, trace::SpanId id = 0);
+
+/// record_interval for an interval that begins and ends on one thread:
+/// pins the clock on construction and records on destruction.  It reads
+/// the clock only when telemetry is on, or tracing is on and the family
+/// has a span; in the latter case it allocates the span id up front and
+/// joins the ambient stack (parent 0 = the ambient span), so spans
+/// recorded meanwhile on this thread -- a block's phase leaves -- nest
+/// under it.  An interval left by an exception is traced but not
+/// counted: the histogram holds only work that completed.
+class ScopedInterval {
+public:
+    explicit ScopedInterval(Histogram histogram, trace::SpanId parent = 0);
+    ~ScopedInterval();
+    ScopedInterval(const ScopedInterval&) = delete;
+    ScopedInterval& operator=(const ScopedInterval&) = delete;
+
+    /// The span's id; 0 when no span is recorded.
+    [[nodiscard]] trace::SpanId id() const noexcept { return id_; }
+    /// Attributes of the span; build them only when id() != 0.
+    void set_attrs(trace::SpanAttrs attrs) { attrs_ = std::move(attrs); }
+    /// Keeps the span but leaves the histogram unobserved: a failed
+    /// checkpoint write is traced, but only landed writes are counted.
+    void skip_histogram() noexcept { observe_ = false; }
+
+private:
+    Histogram histogram_;
+    bool timed_ = false;
+    bool observe_ = false;
+    int exceptions_ = 0;  // std::uncaught_exceptions() on entry
+    trace::SpanId id_ = 0;
+    trace::SpanId parent_ = 0;
+    std::uint64_t begin_ns_ = 0;
+    trace::SpanAttrs attrs_;
+};
+
+/// Splits one block body's wall time into phases.  mark() pins the clock;
+/// each lap(phase) credits the time since the previous mark/lap locally
+/// and re-pins, so consecutive laps chain through interleaved phases with
+/// one clock read each.  flush() records every nonzero phase total once
+/// per block through record_interval, laid out sequentially from the
+/// first mark under the ambient (block) span -- the per-phase durations
+/// are exact, the layout within the block is a rendering convention
+/// (phases interleave in reality).  All methods are no-ops when both
+/// telemetry and tracing are off, so the block bodies carry no clock
+/// reads in the default configuration.
 class PhaseClock {
 public:
-    PhaseClock() : enabled_(enabled()), tracing_(trace::enabled()) {}
+    PhaseClock() : on_(enabled() || trace::enabled()) {}
 
     void mark() noexcept {
-        if (!enabled_ && !tracing_) return;
+        if (!on_) return;
         last_ = steady_now_ns();
         if (first_ == 0) first_ = last_;
     }
-    void lap(Counter counter) noexcept {
-        if (!enabled_ && !tracing_) return;
+    void lap(Histogram phase) noexcept {
+        if (!on_) return;
         const std::uint64_t now = steady_now_ns();
-        nanos_[static_cast<std::size_t>(counter)] += now - last_;
+        nanos_[static_cast<std::size_t>(phase)] += now - last_;
         last_ = now;
     }
     void flush();
 
 private:
-    bool enabled_;
-    bool tracing_;
+    bool on_;
     std::uint64_t last_ = 0;
     std::uint64_t first_ = 0;
-    std::array<std::uint64_t, kCounterCount> nanos_{};
+    std::array<std::uint64_t, kHistogramCount> nanos_{};
 };
 
 // ----- progress / ETA ----------------------------------------------------

@@ -1,7 +1,6 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "support/env.hpp"
@@ -110,16 +109,9 @@ void ThreadPool::worker_loop(unsigned id) {
             continue;
         }
         std::unique_lock<std::mutex> lock(sleep_mutex_);
-        if (telemetry::enabled()) {
-            const auto idle_start = std::chrono::steady_clock::now();
-            wake_.wait(lock, [this] { return stop_ || queued_ > 0; });
-            const auto idle_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - idle_start)
-                    .count();
-            telemetry::shard().add(telemetry::Counter::kPoolIdleNanos,
-                                   static_cast<std::uint64_t>(idle_ns));
-        } else {
+        {
+            const telemetry::ScopedInterval idle(
+                telemetry::Histogram::kPoolIdleNanos);
             wake_.wait(lock, [this] { return stop_ || queued_ > 0; });
         }
         if (stop_ && queued_ == 0) return;

@@ -123,7 +123,7 @@ void record_span(Span span) {
 
 void record_span(SpanId id, std::string name, SpanId parent,
                  std::uint64_t begin_ns, std::uint64_t end_ns,
-                 std::vector<std::pair<std::string, std::string>> attrs) {
+                 SpanAttrs attrs) {
     Span span;
     span.id = id;
     span.parent = parent;
@@ -134,8 +134,7 @@ void record_span(SpanId id, std::string name, SpanId parent,
     record_span(std::move(span));
 }
 
-ScopedSpan::ScopedSpan(std::string name, SpanId parent,
-                       std::vector<std::pair<std::string, std::string>> attrs) {
+ScopedSpan::ScopedSpan(std::string name, SpanId parent, SpanAttrs attrs) {
     if (!enabled()) return;
     id_ = new_span_id();
     parent_ = parent != 0 ? parent : current_span();
@@ -245,6 +244,18 @@ std::vector<SpanSummary> summarize_spans(const std::vector<Span>& spans) {
                   return a.name < b.name;
               });
     return out;
+}
+
+void write_json(JsonWriter& w, const std::vector<SpanSummary>& spans) {
+    w.begin_array();
+    for (const SpanSummary& span : spans) {
+        w.begin_object();
+        w.member("name", span.name);
+        w.member("count", span.count);
+        w.member("total_ns", span.total_ns);
+        w.end_object();
+    }
+    w.end_array();
 }
 
 }  // namespace glitchmask::trace

@@ -6,7 +6,10 @@
 // one timed interval (queue wait, execute, block 17, the sim phase of
 // block 17, a checkpoint write, ...) with a parent link, so a run or a
 // service job unfolds into a tree a human can read in chrome://tracing
-// or Perfetto.
+// or Perfetto.  The instrumented intervals are recorded through
+// telemetry::record_interval, which feeds a span and the family's
+// latency histogram from the same clock reads; ScopedSpan serves
+// intervals that have no histogram (the benchmark's own layers).
 //
 // Design centre (mirrors the telemetry shards):
 //
@@ -37,10 +40,17 @@
 #include <utility>
 #include <vector>
 
+namespace glitchmask {
+class JsonWriter;  // support/json.hpp
+}
+
 namespace glitchmask::trace {
 
 /// Process-unique span identity; 0 = "no span" everywhere.
 using SpanId = std::uint64_t;
+
+/// Key/value annotations of one span (Chrome-trace "args").
+using SpanAttrs = std::vector<std::pair<std::string, std::string>>;
 
 /// One completed span.  Timestamps are telemetry::steady_now_ns() reads
 /// (the registry's monotonic time base); `thread` is a small stable index
@@ -52,7 +62,7 @@ struct Span {
     std::uint64_t begin_ns = 0;
     std::uint64_t end_ns = 0;
     std::uint32_t thread = 0;
-    std::vector<std::pair<std::string, std::string>> attrs;
+    SpanAttrs attrs;
 };
 
 /// Global collection switch: GLITCHMASK_TRACE (0/1, default off) on first
@@ -97,7 +107,7 @@ void record_span(Span span);
 /// Convenience: record a completed span under a pre-allocated id.
 void record_span(SpanId id, std::string name, SpanId parent,
                  std::uint64_t begin_ns, std::uint64_t end_ns,
-                 std::vector<std::pair<std::string, std::string>> attrs = {});
+                 SpanAttrs attrs = {});
 
 /// RAII span for intervals that begin and end on one thread: allocates an
 /// id, pins the clock and joins the ambient stack on construction (parent
@@ -105,9 +115,8 @@ void record_span(SpanId id, std::string name, SpanId parent,
 /// when tracing is off -- id() is then 0.
 class ScopedSpan {
 public:
-    explicit ScopedSpan(
-        std::string name, SpanId parent = 0,
-        std::vector<std::pair<std::string, std::string>> attrs = {});
+    explicit ScopedSpan(std::string name, SpanId parent = 0,
+                        SpanAttrs attrs = {});
     ~ScopedSpan();
     ScopedSpan(const ScopedSpan&) = delete;
     ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -119,7 +128,7 @@ private:
     SpanId parent_ = 0;
     std::uint64_t begin_ns_ = 0;
     std::string name_;
-    std::vector<std::pair<std::string, std::string>> attrs_;
+    SpanAttrs attrs_;
 };
 
 /// Drains every buffer (live threads and exited ones) into one vector;
@@ -144,8 +153,8 @@ void reset();
 void write_chrome_trace(const std::string& path,
                         const std::vector<Span>& spans);
 
-/// Per-name rollup of a span set (the one-line summary that rides the
-/// service's result event and run_report v3).
+/// Per-name rollup of a span set (the summary that rides the service's
+/// result event and the run report's "spans" section).
 struct SpanSummary {
     std::string name;
     std::uint64_t count = 0;
@@ -157,5 +166,9 @@ struct SpanSummary {
 /// Aggregates spans by name, sorted by name (deterministic order).
 [[nodiscard]] std::vector<SpanSummary> summarize_spans(
     const std::vector<Span>& spans);
+
+/// Writes a rollup as a JSON array of {"name", "count", "total_ns"}
+/// objects.
+void write_json(JsonWriter& w, const std::vector<SpanSummary>& spans);
 
 }  // namespace glitchmask::trace

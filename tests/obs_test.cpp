@@ -385,7 +385,7 @@ TEST(IngestTest, OverridesFillOnlyEmptyFields) {
     eval::RunReport report;
     report.campaign = "des_tvla";
     report.fingerprint = test_fingerprint();
-    report.revision = "";  // v1-v3 file: no attribution fields
+    report.revision = "";  // the producer could not resolve one
     const std::string text = eval::render_run_report(report);
 
     IngestOverrides overrides;

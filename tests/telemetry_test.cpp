@@ -4,7 +4,7 @@
 //
 //   * shard merges are associative/commutative, so merged totals are
 //     independent of thread scheduling and thread exit order;
-//   * the deterministic counters (sim.*, campaign.blocks/traces) are a
+//   * the deterministic counters (sim.*) and trace-count histograms are a
 //     pure function of the campaign -- exact at any worker count;
 //   * enabling telemetry does not perturb a single result bit;
 //   * a rendered report parses back with every u64 exact.
@@ -49,7 +49,7 @@ TEST(TelemetryRegistry, CounterMetadataIsStableAndUnique) {
     EXPECT_TRUE(telemetry::counter_deterministic(
         telemetry::Counter::kSimGlitches));
     EXPECT_FALSE(telemetry::counter_deterministic(
-        telemetry::Counter::kCampaignBlockNanos));
+        telemetry::Counter::kPoolTasksExecuted));
 }
 
 TEST(TelemetryRegistry, ShardMergeIsExactAcrossThreadsAndThreadExit) {
@@ -338,8 +338,10 @@ TEST(TelemetryCampaign, Secand2CountsExactAtAnyWorkerCount) {
     EXPECT_GT(w1.counters.value(telemetry::Counter::kSimToggles), 0u);
     EXPECT_GE(w1.counters.value(telemetry::Counter::kSimToggles),
               w1.counters.value(telemetry::Counter::kSimGlitches));
-    EXPECT_EQ(w1.counters.value(telemetry::Counter::kCampaignTraces), 96u);
-    EXPECT_EQ(w1.counters.value(telemetry::Counter::kCampaignBlocks), 6u);
+    EXPECT_EQ(w1.counters.histogram(telemetry::Histogram::kBlockTraces).sum,
+              96u);
+    EXPECT_EQ(w1.counters.histogram(telemetry::Histogram::kBlockTraces).count,
+              6u);
     // The deterministic counters are a pure function of the campaign:
     // exact equality across worker counts, not just statistical agreement.
     for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
@@ -503,6 +505,47 @@ TEST(RunReport, RoundTripKeepsEveryFieldExact) {
                      .has_value());
 }
 
+// A report whose values have the wrong JSON kind must fail to read, not
+// read as 0 or "" -- the ledger would store that 0 as a leakage fact.
+// One hostile value per field kind the reader takes: u64 (a counter, a
+// histogram bucket pair, a checkpoint mark), string and bool.
+TEST(RunReport, ReaderRejectsValuesOfTheWrongKind) {
+    eval::RunReport report;
+    report.campaign = "hostile";
+    report.counters.values[static_cast<std::size_t>(
+        telemetry::Counter::kSimToggles)] = 7;
+    auto& traces = report.counters.histograms[static_cast<std::size_t>(
+        telemetry::Histogram::kBlockTraces)];
+    traces.buckets[telemetry::histogram_bucket(16)] = 6;
+    traces.count = 6;
+    traces.sum = 96;
+    traces.max = 16;
+    report.checkpoint_blocks = {4, 8};
+    const std::string text = eval::render_run_report(report);
+    const auto decode = [](const std::string& json) {
+        return eval::decode_run_report(eval::parse_json(json));
+    };
+    EXPECT_EQ(decode(text).counters.values, report.counters.values);
+
+    const std::pair<const char*, const char*> kHostile[] = {
+        {"\"sim.toggles\":7", "\"sim.toggles\":-5"},
+        {"\"sim.toggles\":7", "\"sim.toggles\":\"x\""},
+        {"\"sim.toggles\":7", "\"sim.toggles\":1.5"},
+        {"[16,6]", "[\"x\",6]"},
+        {"[16,6]", "[16,-6]"},
+        {"\"checkpoint_blocks\":[4,8]", "\"checkpoint_blocks\":[4,\"x\"]"},
+        {"\"campaign\":\"hostile\"", "\"campaign\":7"},
+        {"\"resumed\":false", "\"resumed\":0"},
+    };
+    for (const auto& [valid, hostile] : kHostile) {
+        std::string bad = text;
+        const std::size_t at = bad.find(valid);
+        ASSERT_NE(at, std::string::npos) << valid;
+        bad.replace(at, std::string_view(valid).size(), hostile);
+        EXPECT_THROW((void)decode(bad), std::runtime_error) << hostile;
+    }
+}
+
 TEST(RunReport, DriverWritesAValidatedReport) {
     const std::string path = temp_path("seq_driver.report.json");
     eval::SequenceExperimentConfig config = small_config(2, 64);
@@ -523,7 +566,9 @@ TEST(RunReport, DriverWritesAValidatedReport) {
     EXPECT_TRUE(report->telemetry_enabled);
     EXPECT_GT(report->wall_seconds, 0.0);
     EXPECT_GT(report->counters.value(telemetry::Counter::kSimEvents), 0u);
-    EXPECT_EQ(report->counters.value(telemetry::Counter::kCampaignTraces), 96u);
+    EXPECT_EQ(
+        report->counters.histogram(telemetry::Histogram::kBlockTraces).sum,
+        96u);
     EXPECT_EQ(report->progress.completed_traces, 96u);
     bool has_t1 = false;
     for (const auto& [name, value] : report->metrics)

@@ -257,7 +257,10 @@ TEST_F(CheckpointHistoryTest, NoSnapshotPathRecordsNoMarks) {
     EXPECT_EQ(waves, (std::vector<std::size_t>{16, 32, 40}));
     EXPECT_TRUE(progress.checkpoint_blocks.empty());
     EXPECT_TRUE(report.checkpoint_blocks.empty());
-    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites), 0u);
+    EXPECT_EQ(report.counters
+                  .histogram(telemetry::Histogram::kCheckpointWriteNanos)
+                  .count,
+              0u);
 }
 
 TEST_F(CheckpointHistoryTest, OneMarkPerSnapshotWrite) {
@@ -268,7 +271,9 @@ TEST_F(CheckpointHistoryTest, OneMarkPerSnapshotWrite) {
     const std::vector<std::uint64_t> marks{4, 8, 12, 16};
     EXPECT_EQ(progress.checkpoint_blocks, marks);
     EXPECT_EQ(report.checkpoint_blocks, marks);
-    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites),
+    EXPECT_EQ(report.counters
+                  .histogram(telemetry::Histogram::kCheckpointWriteNanos)
+                  .count,
               marks.size());
 }
 
@@ -286,7 +291,10 @@ TEST_F(CheckpointHistoryTest, NoMarksAfterWritesDegrade) {
     EXPECT_EQ(progress.completed_blocks, 16u);
     EXPECT_EQ(progress.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
     EXPECT_EQ(report.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
-    EXPECT_EQ(report.counters.value(telemetry::Counter::kCheckpointWrites), 1u);
+    EXPECT_EQ(report.counters
+                  .histogram(telemetry::Histogram::kCheckpointWriteNanos)
+                  .count,
+              1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Attribution, TraceCampaignTest, ::testing::Bool(),

@@ -1,16 +1,19 @@
 // Span-tracing tests: the recorder's parenting/buffering semantics, the
-// Chrome-trace export, the run-report v3 sections and -- the load-bearing
-// property -- that turning tracing on never perturbs a campaign result
-// bit.  Tracing shares telemetry's zero-cost-off contract: a disabled
-// ScopedSpan reads no clock and allocates no id, so the default
-// configuration pays nothing for the instrumentation sprinkled through
-// the runners and the service.
+// Chrome-trace export, the run report's histogram and span sections, that
+// every timed interval feeds its histogram and its span once, and -- the
+// load-bearing property -- that turning tracing on never perturbs a
+// campaign result bit.  Tracing shares telemetry's zero-cost-off
+// contract: a disabled ScopedSpan reads no clock and allocates no id, so
+// the default configuration pays nothing for the instrumentation
+// sprinkled through the runners and the service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,6 +292,131 @@ TEST(TraceCampaign, EnablingTracingIsBitIdentical) {
         if (span.id == sim->parent) parent = &span;
     ASSERT_NE(parent, nullptr);
     EXPECT_EQ(parent->name, "block");
+}
+
+// One checkpointed campaign: 6 blocks, snapshots after blocks 4 and 6.
+eval::SequenceExperimentConfig checkpointed_config(const std::string& path) {
+    eval::SequenceExperimentConfig config = small_config(2);
+    config.run.checkpoint_path = path;
+    config.run.checkpoint_every = 4;
+    return config;
+}
+
+// Every interval is measured once: with telemetry and tracing both on,
+// each family that has a span holds exactly the intervals its spans
+// cover -- the histogram's count is the span count and its sum is the
+// spans' total duration, because one call fed both from one pair of
+// clock reads.
+TEST(TraceCampaign, EachIntervalIsMeasuredOnce) {
+    const std::string snapshot = temp_path("measured_once.gmsnap");
+    std::remove(snapshot.c_str());
+    const telemetry::ScopedTelemetryEnable telemetry_on;
+    const trace::ScopedTraceEnable tracing_on;
+    telemetry::reset();
+    trace::reset();
+    (void)eval::run_sequence_experiment(core::all_input_sequences().front(),
+                                        checkpointed_config(snapshot));
+    const telemetry::Snapshot registry = telemetry::snapshot();
+    const std::vector<trace::SpanSummary> spans =
+        trace::summarize_spans(trace::take_spans());
+    std::remove(snapshot.c_str());
+    telemetry::reset();
+
+    std::vector<std::string> exercised;
+    for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i) {
+        const auto histogram = static_cast<telemetry::Histogram>(i);
+        const char* name = telemetry::histogram_span_name(histogram);
+        if (name == nullptr) continue;
+        trace::SpanSummary rollup{name, 0, 0};
+        for (const trace::SpanSummary& span : spans)
+            if (span.name == name) rollup = span;
+        const telemetry::HistogramSnapshot& h = registry.histogram(histogram);
+        EXPECT_EQ(h.count, rollup.count) << name;
+        EXPECT_EQ(h.sum, rollup.total_ns) << name;
+        if (h.count != 0) exercised.push_back(name);
+    }
+    // The campaign families all ran; the service ones (queue_wait,
+    // execute, cache_lookup) stayed at zero on both sides.
+    for (const char* name : {"block", "checkpoint", "sim", "noise", "moments"})
+        EXPECT_NE(std::find(exercised.begin(), exercised.end(), name),
+                  exercised.end())
+            << name;
+    EXPECT_EQ(registry.histogram(telemetry::Histogram::kBlockNanos).count, 6u);
+    EXPECT_EQ(
+        registry.histogram(telemetry::Histogram::kCheckpointWriteNanos).count,
+        2u);
+}
+
+// An interval that ends by an exception keeps its span but is not
+// counted: the histogram holds only completed work (a checkpoint write
+// that throws never lands).
+TEST(ScopedInterval, AnIntervalLeftByAnExceptionIsTracedNotCounted) {
+    const telemetry::ScopedTelemetryEnable telemetry_on;
+    const trace::ScopedTraceEnable tracing_on;
+    telemetry::reset();
+    trace::reset();
+    try {
+        const telemetry::ScopedInterval interval(
+            telemetry::Histogram::kCheckpointWriteNanos);
+        throw std::runtime_error("write failed");
+    } catch (const std::runtime_error&) {
+    }
+    {
+        const telemetry::ScopedInterval interval(
+            telemetry::Histogram::kCheckpointWriteNanos);
+    }
+    const std::vector<trace::Span> spans = trace::take_spans();
+    EXPECT_EQ(spans.size(), 2u);
+    EXPECT_EQ(telemetry::snapshot()
+                  .histogram(telemetry::Histogram::kCheckpointWriteNanos)
+                  .count,
+              1u);
+    EXPECT_EQ(trace::current_span(), 0u);
+    telemetry::reset();
+    trace::reset();
+}
+
+// Either instrument alone leaves no mark in the other: telemetry without
+// tracing allocates no span id, tracing without telemetry observes no
+// histogram.
+TEST(TraceCampaign, OneInstrumentLeavesTheOtherUntouched) {
+    const std::string snapshot = temp_path("one_instrument.gmsnap");
+    {
+        std::remove(snapshot.c_str());
+        const telemetry::ScopedTelemetryEnable telemetry_on;
+        trace::set_enabled(false);
+        telemetry::reset();
+        trace::reset();
+        const trace::SpanId before = trace::new_span_id();
+        (void)eval::run_sequence_experiment(
+            core::all_input_sequences().front(),
+            checkpointed_config(snapshot));
+        EXPECT_EQ(trace::new_span_id(), before + 1);
+        EXPECT_TRUE(trace::take_spans().empty());
+        EXPECT_EQ(telemetry::snapshot()
+                      .histogram(telemetry::Histogram::kBlockNanos)
+                      .count,
+                  6u);
+    }
+    {
+        std::remove(snapshot.c_str());
+        const trace::ScopedTraceEnable tracing_on;
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        trace::reset();
+        (void)eval::run_sequence_experiment(
+            core::all_input_sequences().front(),
+            checkpointed_config(snapshot));
+        EXPECT_FALSE(trace::take_spans().empty());
+        const telemetry::Snapshot registry = telemetry::snapshot();
+        for (std::size_t i = 0; i < telemetry::kHistogramCount; ++i)
+            EXPECT_EQ(registry.histograms[i], telemetry::HistogramSnapshot{})
+                << telemetry::histogram_name(
+                       static_cast<telemetry::Histogram>(i));
+    }
+    std::remove(snapshot.c_str());
+    telemetry::reset();
+    trace::reset();
 }
 
 // A 64-lane DES campaign with telemetry, tracing and attribution off

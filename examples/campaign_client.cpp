@@ -33,7 +33,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "eval/run_report.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -61,17 +61,17 @@ bool line_ends_conversation(const std::string& line, bool is_submit,
 /// rollup, on stderr so piped-stdout consumers still see pure NDJSON.
 void render_span_summary(const std::string& result_line) {
     try {
-        const glitchmask::eval::JsonValue json =
-            glitchmask::eval::parse_json(result_line);
-        const glitchmask::eval::JsonValue* spans = json.find("spans");
+        const glitchmask::JsonValue json =
+            glitchmask::parse_json(result_line);
+        const glitchmask::JsonValue* spans = json.find("spans");
         if (spans == nullptr || spans->array.empty()) {
             std::fprintf(stderr, "[follow] no span rollup in result\n");
             return;
         }
-        for (const glitchmask::eval::JsonValue& entry : spans->array) {
-            const glitchmask::eval::JsonValue* name = entry.find("name");
-            const glitchmask::eval::JsonValue* count = entry.find("count");
-            const glitchmask::eval::JsonValue* total = entry.find("total_ns");
+        for (const glitchmask::JsonValue& entry : spans->array) {
+            const glitchmask::JsonValue* name = entry.find("name");
+            const glitchmask::JsonValue* count = entry.find("count");
+            const glitchmask::JsonValue* total = entry.find("total_ns");
             if (name == nullptr || count == nullptr || total == nullptr)
                 continue;
             std::fprintf(stderr, "[follow] %-16s count=%-8llu total=%.3fms\n",
@@ -91,24 +91,24 @@ void render_span_summary(const std::string& result_line) {
 /// entries -- an empty history is an answer), 1 otherwise.
 int render_history_table(const std::string& reply_line) {
     try {
-        const glitchmask::eval::JsonValue json =
-            glitchmask::eval::parse_json(reply_line);
-        const glitchmask::eval::JsonValue* entries = json.find("entries");
+        const glitchmask::JsonValue json =
+            glitchmask::parse_json(reply_line);
+        const glitchmask::JsonValue* entries = json.find("entries");
         if (entries == nullptr ||
-            entries->kind != glitchmask::eval::JsonValue::Kind::kArray) {
+            entries->kind != glitchmask::JsonValue::Kind::kArray) {
             std::fprintf(stderr, "history reply has no 'entries' array\n");
             return 1;
         }
-        const auto str = [](const glitchmask::eval::JsonValue& entry,
+        const auto str = [](const glitchmask::JsonValue& entry,
                             const char* key) -> std::string {
-            const glitchmask::eval::JsonValue* v = entry.find(key);
+            const glitchmask::JsonValue* v = entry.find(key);
             return v != nullptr ? v->string : std::string("-");
         };
-        const auto num = [](const glitchmask::eval::JsonValue& entry,
+        const auto num = [](const glitchmask::JsonValue& entry,
                             const char* key) -> double {
-            const glitchmask::eval::JsonValue* v = entry.find(key);
+            const glitchmask::JsonValue* v = entry.find(key);
             if (v == nullptr) return 0.0;
-            if (v->kind == glitchmask::eval::JsonValue::Kind::kUnsigned)
+            if (v->kind == glitchmask::JsonValue::Kind::kUnsigned)
                 return static_cast<double>(v->unsigned_value);
             return v->number;
         };
@@ -116,7 +116,7 @@ int render_history_table(const std::string& reply_line) {
                     "verdict", "wall_s", "revision", "utc", "campaign",
                     "max_abs_t1");
         std::size_t row = 0;
-        for (const glitchmask::eval::JsonValue& entry : entries->array) {
+        for (const glitchmask::JsonValue& entry : entries->array) {
             std::string revision = str(entry, "revision");
             if (revision.size() > 12) revision.resize(12);
             std::printf("%-4zu %-10s %10.3f %-12s %-20s %-14s %12.4f\n",

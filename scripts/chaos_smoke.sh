@@ -3,7 +3,9 @@
 # it through the robustness contract end to end with campaign_client:
 #
 #   1. clean run      -> completed, and an identical resubmit answers from
-#                        the result cache without re-simulating;
+#                        the result cache without re-simulating; with
+#                        --ledger up, the run appends exactly one record
+#                        to the results ledger and the cache hit none;
 #   2. EINTR storm    -> a seeded fault plan (via GLITCHMASK_FAULTS, the
 #                        environment lever) peppers every atomic_file site
 #                        with EINTR; the run must complete with metrics
@@ -33,6 +35,7 @@ cd "$(dirname "$0")/.."
 builddir="${1:?usage: scripts/chaos_smoke.sh BUILDDIR}"
 daemon="$builddir/src/glitchmaskd"
 client="$builddir/examples/campaign_client"
+ledger_cli="$builddir/src/glitchmask_ledger"
 work="$(mktemp -d "${TMPDIR:-/tmp}/gm-chaos.XXXXXX")"
 sock="$work/gm.sock"
 request='{"op":"submit","kind":"gadget_tvla","gadget":"trichina","traces":512,"seed":7}'
@@ -77,7 +80,7 @@ submit_expect_completed() {
 metrics_of() { sed -n 's/.*"metrics":{\([^}]*\)}.*/\1/p' <<<"$1"; }
 
 echo "--- chaos smoke 1/5: clean run + cache hit"
-start_daemon
+start_daemon --ledger "$work/ledger.ndjson"
 fresh="$(submit_expect_completed)"
 reference_metrics="$(metrics_of "$fresh")"
 if [ -z "$reference_metrics" ]; then
@@ -90,6 +93,15 @@ grep -q '"cached":true' <<<"$cached" || {
   exit 1
 }
 stop_daemon
+# The append follows the result, so the ledger is read once the daemon
+# has exited: the executed job's record, and none for the cache hit.
+records="$("$ledger_cli" list "$work/ledger.ndjson" --csv | tail -n +2)"
+if [ "$(grep -c . <<<"$records")" != 1 ] ||
+   ! grep -q '^gadget_tvla,[0-9a-f]*,service,.*,completed,' <<<"$records"; then
+  echo "FAIL: wanted one completed service record in the ledger, got:" >&2
+  printf '%s\n' "$records" >&2
+  exit 1
+fi
 
 echo "--- chaos smoke 2/5: EINTR storm is absorbed bit-identically"
 rm -rf "$work/spool" "$work/state.json"

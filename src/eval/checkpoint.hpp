@@ -38,7 +38,7 @@
 #include "support/cancel.hpp"
 #include "support/retry.hpp"
 #include "support/snapshot.hpp"
-#include "support/telemetry.hpp"
+#include "support/telemetry_types.hpp"
 
 namespace glitchmask::eval {
 

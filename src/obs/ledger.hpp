@@ -25,10 +25,14 @@
 // bit-exactly; "bit-identical" verdicts downstream are therefore real
 // bit comparisons, not epsilon tests.
 //
-// Entries are ingested from three producers:
-//   * run report files (eval/run_report.hpp, version v4),
+// The entry type is the run record (eval::LedgerEntry, with its one
+// encoder and decoder in eval/run_record.hpp); this layer only frames,
+// reads, appends and sorts it.  Records arrive from three producers:
+//   * run report files (eval/run_report.hpp, v5): `glitchmask_ledger
+//     ingest` appends the report's record as it is,
 //   * the bench harness's BENCH_batch_sim.json (one entry per sweep row
-//     plus a headline entry carrying the overhead/speedup gates),
+//     plus a headline entry carrying the overhead/speedup gates; the
+//     converter below),
 //   * the campaign service (ServiceConfig::ledger_path appends one entry
 //     per executed terminal job).
 #pragma once
@@ -39,64 +43,14 @@
 #include <utility>
 #include <vector>
 
-#include "eval/checkpoint.hpp"
-#include "eval/run_report.hpp"
+#include "eval/run_record.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::obs {
 
-inline constexpr const char* kLedgerSchema = "glitchmask.ledger";
-inline constexpr std::uint32_t kLedgerVersion = 1;
-
-/// Per-phase cost split.  cpu_seconds is the sum of the phase's telemetry
-/// histogram (phase.*_nanos, checkpoint.write_latency_nanos), summed
-/// across workers -- CPU time, can exceed the run's wall clock;
-/// wall_seconds comes from the trace span rollup where one was collected.
-/// 0 = not measured, never "instant".
-struct LedgerPhase {
-    std::string name;  // "sim", "noise", "moments", ...
-    double cpu_seconds = 0.0;
-    double wall_seconds = 0.0;
-
-    friend bool operator==(const LedgerPhase&, const LedgerPhase&) = default;
-};
-
-/// One ranked row of the per-net attribution table (the leakage-culprit
-/// identity the diff layer tracks across revisions).
-struct LedgerNet {
-    std::uint64_t net = 0;
-    std::string name;
-    double max_abs_t = 0.0;
-    std::uint64_t toggles = 0;
-    std::uint64_t glitches = 0;
-
-    friend bool operator==(const LedgerNet&, const LedgerNet&) = default;
-};
-
-/// One finished campaign as the ledger remembers it.
-struct LedgerEntry {
-    std::string source;    // "run_report" | "bench" | "service"
-    std::string campaign;  // driver id / bench row id
-    eval::CampaignFingerprint fingerprint{};
-    std::string revision;  // git commit, "" = unknown
-    std::string host;
-    std::string utc;       // "YYYY-MM-DDTHH:MM:SSZ"; sorts chronologically
-    std::string status{"completed"};  // job_state_name-style verdict
-    std::string backend;   // bench rows: "event" (scalar engine), "compiled"
-    unsigned workers = 0;
-    unsigned lanes = 0;
-    double wall_seconds = 0.0;
-    double cpu_seconds = 0.0;
-    // Leakage facts, compared bit-exactly by obs/diff.hpp.
-    double max_abs_t1 = 0.0;
-    std::uint64_t toggles = 0;
-    std::vector<LedgerNet> attribution;  // ranked top-k culprits
-    std::vector<LedgerPhase> phases;
-    /// Everything else the producer reported, name -> value ("speedup",
-    /// "telemetry_overhead", "max_abs_t_order2", ...).
-    std::vector<std::pair<std::string, double>> metrics;
-
-    friend bool operator==(const LedgerEntry&, const LedgerEntry&) = default;
-};
+using eval::LedgerEntry;
+using eval::LedgerNet;
+using eval::LedgerPhase;
 
 /// 80 lowercase hex digits of the five fingerprint words -- the same
 /// string the service uses as its cache/spool key, so ledger history
@@ -105,18 +59,9 @@ struct LedgerEntry {
 [[nodiscard]] std::string fingerprint_key(
     const eval::CampaignFingerprint& fingerprint);
 
-/// Canonical single-line JSON of one entry (no trailing newline).  The
-/// CRC is computed over exactly these bytes, and the regression radar
-/// sorts equal-timestamp entries by this text -- one canonical form,
-/// three uses.
-[[nodiscard]] std::string render_ledger_entry(const LedgerEntry& entry);
-
-/// One complete ledger line: CRC wrapper + entry + '\n'.
+/// One complete ledger line: CRC wrapper + eval::render_ledger_entry +
+/// '\n'.
 [[nodiscard]] std::string render_ledger_line(const LedgerEntry& entry);
-
-/// Decodes the *entry object* (not the CRC wrapper); throws
-/// std::runtime_error naming the problem on schema violations.
-[[nodiscard]] LedgerEntry decode_ledger_entry(const eval::JsonValue& json);
 
 struct LedgerFile {
     std::vector<LedgerEntry> entries;  // file order (append order)
@@ -149,17 +94,14 @@ struct IngestOverrides {
     std::string utc;
 };
 
-/// One entry from a (v4) run report.
-[[nodiscard]] LedgerEntry entry_from_run_report(const eval::RunReport& report);
-
 /// Entries from a parsed BENCH_batch_sim.json: one per sweep row plus a
 /// "<workload>/headline" entry carrying the top-level overhead/speedup
 /// figures; a row's "phases_cpu" object becomes its phase split.
 [[nodiscard]] std::vector<LedgerEntry> entries_from_bench_json(
-    const eval::JsonValue& json);
+    const JsonValue& json);
 
-/// Classifies + converts one producer file (run report or bench JSON) and
-/// applies the overrides.  Throws std::runtime_error on unrecognized
+/// Classifies one producer file -- a run report yields its record as it
+/// is, a bench JSON its converted rows -- and applies the overrides.  Throws std::runtime_error on unrecognized
 /// documents.
 [[nodiscard]] std::vector<LedgerEntry> entries_from_file_text(
     std::string_view text, const IngestOverrides& overrides);

@@ -2,8 +2,8 @@
 //
 //   glitchmask_ledger ingest <ledger> <file...> [--revision R] [--host H]
 //                     [--utc T]
-//       Converts run-report / BENCH_batch_sim.json files into ledger
-//       entries and appends them (obs/ledger.hpp has the line format).
+//       Appends a run report's record as it is, or one entry per row of
+//       a BENCH_batch_sim.json (obs/ledger.hpp has the line format).
 //       The flags fill attribution fields the file itself lacks.
 //
 //   glitchmask_ledger list <ledger> [--fingerprint HEX] [--csv]
@@ -77,15 +77,17 @@ std::string read_text_file(const std::string& path) {
                        bytes->size());
 }
 
+using Groups = std::map<std::string, std::vector<obs::LedgerEntry>>;
+
 /// Entries filtered by the optional --fingerprint / --campaign flags,
 /// grouped by (fingerprint, campaign) in deterministic key order; each
 /// group is canonically sorted (oldest first).
-std::map<std::string, std::vector<obs::LedgerEntry>> load_groups(
-    const std::string& path, const std::string& fingerprint,
-    const std::string& campaign, std::size_t* corrupt_lines = nullptr) {
+Groups load_groups(const std::string& path, const std::string& fingerprint,
+                   const std::string& campaign,
+                   std::size_t* corrupt_lines = nullptr) {
     obs::LedgerFile file = obs::read_ledger(path);
     if (corrupt_lines != nullptr) *corrupt_lines = file.corrupt_lines;
-    std::map<std::string, std::vector<obs::LedgerEntry>> groups;
+    Groups groups;
     for (obs::LedgerEntry& entry : file.entries) {
         const std::string key = obs::fingerprint_key(entry.fingerprint);
         if (!fingerprint.empty() && key != fingerprint) continue;
@@ -137,9 +139,7 @@ bool parse_common_flags(int argc, char** argv, int first, CommonFlags* out) {
     return true;
 }
 
-void print_entry_table(
-    const std::map<std::string, std::vector<obs::LedgerEntry>>& groups,
-    bool csv) {
+void print_entry_table(const Groups& groups, bool csv) {
     if (csv) {
         std::printf(
             "campaign,fingerprint,source,revision,host,utc,status,backend,"
@@ -266,16 +266,16 @@ int run_diff(int argc, char** argv) {
     return changed ? kExitRegressed : kExitOk;
 }
 
-int run_trend(int argc, char** argv) {
-    if (argc < 3) return usage();
-    CommonFlags flags;
-    if (!parse_common_flags(argc, argv, 3, &flags)) return usage();
-    const auto groups = load_groups(argv[2], flags.fingerprint, flags.campaign);
+/// The regression radar over every group with history: judges each
+/// group's newest entry against the rest and prints the markdown report.
+/// Returns the number of groups judged; sets *regressed when any
+/// regressed.
+std::size_t print_radar(const Groups& groups, const CommonFlags& flags,
+                        bool* regressed) {
     obs::RegressionRule rule;
     rule.window = flags.window;
     rule.mad_k = flags.mad_k;
     std::size_t judged = 0;
-    bool regressed = false;
     for (const auto& [key, entries] : groups) {
         if (entries.size() < 2) continue;
         ++judged;
@@ -285,9 +285,18 @@ int run_trend(int argc, char** argv) {
             obs::evaluate_candidate(entries.back(), std::move(history), rule);
         std::fputs(obs::render_regression_markdown(report).c_str(), stdout);
         std::fputs("\n", stdout);
-        regressed |= report.regressed;
+        *regressed |= report.regressed;
     }
-    if (judged == 0) {
+    return judged;
+}
+
+int run_trend(int argc, char** argv) {
+    if (argc < 3) return usage();
+    CommonFlags flags;
+    if (!parse_common_flags(argc, argv, 3, &flags)) return usage();
+    const auto groups = load_groups(argv[2], flags.fingerprint, flags.campaign);
+    bool regressed = false;
+    if (print_radar(groups, flags, &regressed) == 0) {
         std::fprintf(stderr,
                      "glitchmask_ledger trend: no group has history to judge "
                      "against\n");
@@ -312,25 +321,14 @@ int run_report(int argc, char** argv) {
     for (const auto& [key, entries] : groups) total += entries.size();
     std::printf("%zu entries in %zu groups (%zu corrupt lines skipped)\n\n",
                 total, groups.size(), corrupt);
-    obs::RegressionRule rule;
-    rule.window = flags.window;
-    rule.mad_k = flags.mad_k;
-    for (const auto& [key, entries] : groups) {
-        if (entries.size() < 2) continue;
-        std::vector<obs::LedgerEntry> history(entries.begin(),
-                                              entries.end() - 1);
-        const obs::RegressionReport report =
-            obs::evaluate_candidate(entries.back(), std::move(history), rule);
-        std::fputs(obs::render_regression_markdown(report).c_str(), stdout);
-        std::fputs("\n", stdout);
-    }
+    bool regressed = false;
+    (void)print_radar(groups, flags, &regressed);
     return kExitOk;
 }
 
 int run_gate(int argc, char** argv) {
     if (argc < 3) return usage();
-    const eval::JsonValue root =
-        eval::parse_json(read_text_file(argv[2]));
+    const JsonValue root = parse_json(read_text_file(argv[2]));
     struct Bar {
         std::string key;
         double bound = 0.0;
@@ -351,15 +349,8 @@ int run_gate(int argc, char** argv) {
     if (bars.empty()) return usage();
     bool violated = false;
     for (const Bar& bar : bars) {
-        const eval::JsonValue* value = root.find(bar.key);
-        if (value == nullptr ||
-            (value->kind != eval::JsonValue::Kind::kUnsigned &&
-             value->kind != eval::JsonValue::Kind::kNumber)) {
-            std::fprintf(stderr, "FAIL: %s missing from %s\n", bar.key.c_str(),
-                         argv[2]);
-            return kExitError;
-        }
-        const double x = value->as_number();
+        // A missing or non-numeric key throws: exit 1 from main().
+        const double x = require_number(root, bar.key, argv[2]);
         const bool ok = bar.is_max ? x <= bar.bound : x >= bar.bound;
         std::printf("%s: %s = %.6g (%s %.6g)\n", ok ? "ok" : "FAIL",
                     bar.key.c_str(), x, bar.is_max ? "<=" : ">=", bar.bound);

@@ -11,34 +11,11 @@ namespace glitchmask::service {
 
 namespace {
 
+using Kind = JsonValue::Kind;
+constexpr std::string_view kRequest = "campaign request";
+
 [[noreturn]] void bad_member(const std::string& name, const char* why) {
     throw std::runtime_error("campaign request: member '" + name + "' " + why);
-}
-
-std::uint64_t require_u64(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kUnsigned)
-        bad_member(name, "must be a non-negative integer");
-    return v.unsigned_value;
-}
-
-double require_number(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kUnsigned &&
-        v.kind != eval::JsonValue::Kind::kNumber)
-        bad_member(name, "must be a number");
-    return v.as_number();
-}
-
-bool require_bool(const eval::JsonValue& v, const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kBool)
-        bad_member(name, "must be true or false");
-    return v.boolean;
-}
-
-const std::string& require_string(const eval::JsonValue& v,
-                                  const std::string& name) {
-    if (v.kind != eval::JsonValue::Kind::kString)
-        bad_member(name, "must be a string");
-    return v.string;
 }
 
 core::InputSequence parse_sequence(const std::string& text) {
@@ -234,60 +211,62 @@ std::string encode_request(const CampaignRequest& request) {
     return w.take();
 }
 
-CampaignRequest decode_request(const eval::JsonValue& json) {
-    if (json.kind != eval::JsonValue::Kind::kObject)
-        throw std::runtime_error("campaign request: expected a JSON object");
-    const eval::JsonValue* kind_member = json.find("kind");
-    if (kind_member == nullptr)
-        throw std::runtime_error("campaign request: missing 'kind'");
-    const std::optional<CampaignKind> kind =
-        parse_campaign_kind(require_string(*kind_member, "kind"));
+CampaignRequest decode_request(const JsonValue& json) {
+    expect_kind(json, Kind::kObject, kRequest, "(request)");
+    const std::string& kind_name = require_string(json, "kind", kRequest);
+    const std::optional<CampaignKind> kind = parse_campaign_kind(kind_name);
     if (!kind)
         throw std::runtime_error("campaign request: unknown kind '" +
-                                 kind_member->string + "'");
+                                 kind_name + "'");
 
     CampaignRequest request = default_request(*kind);
     for (const auto& [name, value] : json.object) {
+        const auto as = [&](Kind field_kind) -> const JsonValue& {
+            return expect_kind(value, field_kind, kRequest, name);
+        };
         if (name == "kind" || name == "op" || name == "id") continue;
         if (name == "priority") {
-            request.priority = static_cast<int>(require_number(value, name));
+            request.priority = static_cast<int>(as(Kind::kNumber).as_number());
         } else if (name == "traces") {
-            request.traces = require_u64(value, name);
+            request.traces = as(Kind::kUnsigned).unsigned_value;
         } else if (name == "noise_sigma") {
-            request.noise_sigma = require_number(value, name);
+            request.noise_sigma = as(Kind::kNumber).as_number();
         } else if (name == "seed") {
-            request.seed = require_u64(value, name);
+            request.seed = as(Kind::kUnsigned).unsigned_value;
         } else if (name == "placement_seed") {
-            request.placement_seed = require_u64(value, name);
+            request.placement_seed = as(Kind::kUnsigned).unsigned_value;
         } else if (name == "max_test_order") {
             request.max_test_order =
-                static_cast<int>(require_u64(value, name));
+                static_cast<int>(as(Kind::kUnsigned).unsigned_value);
         } else if (name == "block_size") {
-            request.block_size = require_u64(value, name);
+            request.block_size = as(Kind::kUnsigned).unsigned_value;
         } else if (name == "lanes") {
-            request.lanes = static_cast<unsigned>(require_u64(value, name));
+            request.lanes =
+                static_cast<unsigned>(as(Kind::kUnsigned).unsigned_value);
         } else if (name == "workers") {
-            request.workers = static_cast<unsigned>(require_u64(value, name));
+            request.workers =
+                static_cast<unsigned>(as(Kind::kUnsigned).unsigned_value);
         } else if (name == "sequence") {
-            request.sequence = parse_sequence(require_string(value, name));
+            request.sequence = parse_sequence(as(Kind::kString).string);
         } else if (name == "replicas") {
-            request.replicas = static_cast<unsigned>(require_u64(value, name));
+            request.replicas =
+                static_cast<unsigned>(as(Kind::kUnsigned).unsigned_value);
         } else if (name == "gadget") {
             const std::optional<eval::GadgetKind> gadget =
-                eval::parse_gadget(require_string(value, name));
+                eval::parse_gadget(as(Kind::kString).string);
             if (!gadget) bad_member(name, "names no known gadget");
             request.gadget = *gadget;
         } else if (name == "flavor") {
             const std::optional<des::CoreFlavor> flavor =
-                parse_flavor(require_string(value, name));
+                parse_flavor(as(Kind::kString).string);
             if (!flavor) bad_member(name, "must be ff, pd or dom");
             request.flavor = *flavor;
         } else if (name == "prng_on") {
-            request.prng_on = require_bool(value, name);
+            request.prng_on = as(Kind::kBool).boolean;
         } else if (name == "fixed_plaintext") {
-            request.fixed_plaintext = require_u64(value, name);
+            request.fixed_plaintext = as(Kind::kUnsigned).unsigned_value;
         } else if (name == "key") {
-            request.key = require_u64(value, name);
+            request.key = as(Kind::kUnsigned).unsigned_value;
         } else {
             bad_member(name, "is not a known request field");
         }

@@ -32,8 +32,8 @@
 #include "eval/checkpoint.hpp"
 #include "eval/des_experiments.hpp"
 #include "eval/gadget_tvla.hpp"
-#include "eval/run_report.hpp"
 #include "eval/trace_campaign.hpp"
+#include "support/json.hpp"
 
 namespace glitchmask::service {
 
@@ -87,7 +87,7 @@ struct CampaignRequest : eval::CampaignSettings {
 /// Builds a request from a parsed JSON object: "kind" selects the driver
 /// defaults, every other present member overrides one field.  Throws
 /// std::runtime_error naming the offending member.
-[[nodiscard]] CampaignRequest decode_request(const eval::JsonValue& json);
+[[nodiscard]] CampaignRequest decode_request(const JsonValue& json);
 
 /// What a finished campaign hands back to the service: identity, progress
 /// flags, and the driver's headline numbers as named metrics.  Small and

@@ -49,62 +49,52 @@ std::string finish_line(JsonWriter& w) {
 }  // namespace
 
 ClientCommand parse_client_command(const std::string& line) {
-    const eval::JsonValue json = [&] {
+    constexpr std::string_view kWhat = "request";
+    const JsonValue json = [&] {
         try {
-            return eval::parse_json(line);
+            return parse_json(line);
         } catch (const std::exception& error) {
             throw std::runtime_error(std::string("malformed JSON: ") +
                                      error.what());
         }
     }();
-    if (json.kind != eval::JsonValue::Kind::kObject)
-        throw std::runtime_error("request must be a JSON object");
-    const eval::JsonValue* op = json.find("op");
-    if (op == nullptr || op->kind != eval::JsonValue::Kind::kString)
-        throw std::runtime_error("missing string member 'op'");
+    expect_kind(json, JsonValue::Kind::kObject, kWhat, "(request)");
+    const std::string& op = require_string(json, "op", kWhat);
 
     ClientCommand command;
-    if (op->string == "submit") {
+    if (op == "submit") {
         command.op = ClientCommand::Op::Submit;
         command.request = decode_request(json);
         return command;
     }
-    if (op->string == "status" || op->string == "cancel") {
-        command.op = op->string == "status" ? ClientCommand::Op::Status
-                                            : ClientCommand::Op::Cancel;
-        const eval::JsonValue* job = json.find("job");
-        if (job == nullptr || job->kind != eval::JsonValue::Kind::kUnsigned)
-            throw std::runtime_error("'" + op->string +
-                                     "' needs an unsigned member 'job'");
-        command.job_id = job->unsigned_value;
+    if (op == "status" || op == "cancel") {
+        command.op = op == "status" ? ClientCommand::Op::Status
+                                    : ClientCommand::Op::Cancel;
+        command.job_id = require_u64(json, "job", kWhat);
         return command;
     }
-    if (op->string == "stats") {
+    if (op == "stats") {
         command.op = ClientCommand::Op::Stats;
         return command;
     }
-    if (op->string == "metrics") {
+    if (op == "metrics") {
         command.op = ClientCommand::Op::Metrics;
         return command;
     }
-    if (op->string == "history") {
+    if (op == "history") {
         command.op = ClientCommand::Op::History;
-        const eval::JsonValue* fp = json.find("fingerprint");
-        if (fp == nullptr || fp->kind != eval::JsonValue::Kind::kString ||
-            fp->string.empty())
-            throw std::runtime_error(
-                "'history' needs a string member 'fingerprint'");
-        command.fingerprint = fp->string;
+        command.fingerprint = require_string(json, "fingerprint", kWhat);
+        if (command.fingerprint.empty())
+            throw std::runtime_error("request: 'history' needs a fingerprint");
         return command;
     }
-    if (op->string == "shutdown") {
+    if (op == "shutdown") {
         command.op = ClientCommand::Op::Shutdown;
-        if (const eval::JsonValue* drain = json.find("drain");
-            drain != nullptr && drain->kind == eval::JsonValue::Kind::kBool)
-            command.drain = drain->boolean;
+        if (json.find("drain") != nullptr)
+            command.drain = require_bool(json, "drain", kWhat);
         return command;
     }
-    throw std::runtime_error("unknown op '" + op->string + "'");
+    throw std::runtime_error("unknown op '" + op + "'");
 }
 
 std::string encode_accepted(std::uint64_t job_id,
@@ -226,19 +216,7 @@ std::string encode_history(const std::string& fingerprint_hex,
     w.member("fingerprint", fingerprint_hex);
     w.key("entries");
     w.begin_array();
-    for (const obs::LedgerEntry& entry : entries) {
-        w.begin_object();
-        w.member("source", entry.source);
-        w.member("campaign", entry.campaign);
-        w.member("status", entry.status);
-        w.member("revision", entry.revision);
-        w.member("host", entry.host);
-        w.member("utc", entry.utc);
-        w.member("wall_seconds", entry.wall_seconds);
-        w.member("max_abs_t1", entry.max_abs_t1);
-        w.member("toggles", entry.toggles);
-        w.end_object();
-    }
+    for (const obs::LedgerEntry& entry : entries) eval::write_json(w, entry);
     w.end_array();
     w.end_object();
     return finish_line(w);

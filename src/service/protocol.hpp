@@ -84,10 +84,9 @@ struct ClientCommand {
     const telemetry::Snapshot& snapshot,
     const CampaignService::MetricsInfo& info);
 /// The ledger's view of one fingerprint: every matching entry in
-/// canonical (oldest-first) order, each reduced to the fields a client
-/// table needs (status, wall time, revision, host, utc, campaign,
-/// leakage headline).  `entries` must already be filtered and sorted --
-/// the encoder renders, it does not select.
+/// canonical (oldest-first) order, each written whole by the record's
+/// encoder (eval::write_json).  `entries` must already be filtered and
+/// sorted -- the encoder renders, it does not select.
 [[nodiscard]] std::string encode_history(
     const std::string& fingerprint_hex,
     const std::vector<obs::LedgerEntry>& entries);

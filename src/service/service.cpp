@@ -12,7 +12,6 @@
 #include "support/campaign_error.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
-#include "support/runenv.hpp"
 #include "support/telemetry.hpp"
 
 namespace glitchmask::service {
@@ -294,13 +293,11 @@ std::size_t CampaignService::load_state() {
     if (!bytes) return 0;
     std::size_t accepted = 0;
     try {
-        const eval::JsonValue state = eval::parse_json(std::string_view(
+        const JsonValue state = parse_json(std::string_view(
             reinterpret_cast<const char*>(bytes->data()), bytes->size()));
-        const eval::JsonValue* requests = state.find("requests");
-        if (requests == nullptr ||
-            requests->kind != eval::JsonValue::Kind::kArray)
-            throw std::runtime_error("state file: missing 'requests' array");
-        for (const eval::JsonValue& entry : requests->array) {
+        for (const JsonValue& entry :
+             require(state, "requests", JsonValue::Kind::kArray, "state file")
+                 .array) {
             const CampaignRequest request = decode_request(entry);
             if (submit(request).kind == SubmitResult::Kind::Accepted)
                 ++accepted;
@@ -614,24 +611,12 @@ void CampaignService::run_job(const JobPtr& job) {
     // slow append never delays waiters).  Best-effort -- history must not
     // fail jobs.
     if (!config_.ledger_path.empty() && started) {
-        obs::LedgerEntry entry;
-        entry.source = "service";
-        entry.campaign = campaign_kind_name(job->request.kind);
-        entry.fingerprint = job->fingerprint;
-        entry.revision = git_revision();
-        entry.host = host_name();
-        entry.utc = utc_timestamp();
+        eval::LedgerEntry entry = eval::make_run_record(
+            "service", campaign_kind_name(job->request.kind), job->fingerprint,
+            job->request.workers, job->request.lanes, job->outcome.metrics);
         entry.status = job_state_name(state);
-        entry.workers = job->request.workers;
-        entry.lanes = job->request.lanes;
         entry.wall_seconds =
             static_cast<double>(exec_end - exec_begin) * 1e-9;
-        for (const auto& [name, value] : job->outcome.metrics) {
-            if (name == "max_abs_t_order1") entry.max_abs_t1 = value;
-            if (name == "toggles" && value >= 0.0)
-                entry.toggles = static_cast<std::uint64_t>(value);
-            entry.metrics.emplace_back(name, value);
-        }
         try {
             obs::append_ledger(config_.ledger_path, entry);
         } catch (const std::exception& error) {

@@ -50,6 +50,7 @@
 
 #include "service/campaign_request.hpp"
 #include "support/cancel.hpp"
+#include "support/telemetry_types.hpp"
 #include "support/trace.hpp"
 
 namespace glitchmask::service {

@@ -61,7 +61,7 @@
 #include "sim/clocked.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/simulator.hpp"
-#include "support/telemetry.hpp"
+#include "support/telemetry_types.hpp"
 
 namespace glitchmask::sim {
 

@@ -31,7 +31,7 @@
 
 #include "netlist/netlist.hpp"
 #include "sim/delay_model.hpp"
-#include "support/telemetry.hpp"
+#include "support/telemetry_types.hpp"
 
 namespace glitchmask::sim {
 

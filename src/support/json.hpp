@@ -1,7 +1,9 @@
-// The repo's one JSON writer (run reports, ledger lines, the service
-// protocol and its state files) and the string escaper it shares with the
-// Chrome-trace export, so every emitter writes the same bytes for the
-// same text.  eval/run_report.hpp owns the matching reader (parse_json).
+// The repo's one JSON writer and one JSON reader.  Run reports, ledger
+// lines, the service protocol and its state files are all written with
+// JsonWriter (whose string escaper the Chrome-trace export shares, so
+// every emitter writes the same bytes for the same text) and read back
+// with parse_json plus the kind-checked field readers below, so every
+// decoder rejects a field of the wrong JSON kind the same way.
 //
 // Unsigned integers are written as bare digit runs so the reader's exact
 // u64 path (JsonValue::kUnsigned) round-trips seeds and fingerprint words
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace glitchmask {
@@ -127,5 +130,65 @@ private:
     std::vector<bool> need_comma_;
     bool pending_value_ = false;
 };
+
+// ----- reader ------------------------------------------------------------
+
+/// Parsed JSON value.  Non-negative integer literals stay exact u64s
+/// (kind Unsigned); anything with a sign, fraction or exponent becomes a
+/// double (kind Number).
+struct JsonValue {
+    enum class Kind { kNull, kBool, kUnsigned, kNumber, kString, kArray, kObject };
+
+    Kind kind = Kind::kNull;
+    bool boolean = false;
+    std::uint64_t unsigned_value = 0;
+    double number = 0.0;
+    std::string string;
+    std::vector<JsonValue> array;
+    std::vector<std::pair<std::string, JsonValue>> object;
+
+    /// Object member lookup; nullptr when absent or not an object.
+    [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
+    /// Numeric view: exact for Unsigned, lossy for large doubles.
+    [[nodiscard]] double as_number() const noexcept {
+        return kind == Kind::kUnsigned ? static_cast<double>(unsigned_value)
+                                       : number;
+    }
+};
+
+/// Deepest array/object nesting parse_json accepts (reports nest 4 deep).
+inline constexpr std::size_t kJsonMaxDepth = 64;
+
+/// Parses one JSON document (object/array/scalar); throws
+/// std::runtime_error with a byte offset on malformed input, on numbers
+/// outside the JSON grammar or the u64/double range, and on nesting
+/// deeper than kJsonMaxDepth.
+[[nodiscard]] JsonValue parse_json(std::string_view text);
+
+// ----- kind-checked field readers ----------------------------------------
+//
+// Each throws std::runtime_error naming `context` (the document: "run
+// report", "ledger entry", ...) and the field, so a negative, fractional
+// or string counter or a numeric name fails instead of reading as 0 or "".
+
+/// `value` itself when it is of `kind` (an unsigned integer also passes
+/// as a number); throws otherwise.
+const JsonValue& expect_kind(const JsonValue& value, JsonValue::Kind kind,
+                             std::string_view context, std::string_view field);
+
+/// Member `key` of `object`, which must be present and of `kind`.
+const JsonValue& require(const JsonValue& object, std::string_view key,
+                         JsonValue::Kind kind, std::string_view context);
+[[nodiscard]] std::uint64_t require_u64(const JsonValue& object,
+                                        std::string_view key,
+                                        std::string_view context);
+[[nodiscard]] double require_number(const JsonValue& object,
+                                    std::string_view key,
+                                    std::string_view context);
+[[nodiscard]] bool require_bool(const JsonValue& object, std::string_view key,
+                                std::string_view context);
+[[nodiscard]] const std::string& require_string(const JsonValue& object,
+                                                std::string_view key,
+                                                std::string_view context);
 
 }  // namespace glitchmask

@@ -44,6 +44,7 @@
 #include <string>
 #include <utility>
 
+#include "support/telemetry_types.hpp"
 #include "support/trace.hpp"
 
 namespace glitchmask {
@@ -326,17 +327,6 @@ void write_json(JsonWriter& w, const Snapshot& snapshot);
 
 // ----- simulator statistics ----------------------------------------------
 
-/// Cumulative activity counters both event engines expose via stats().
-/// Plain members in the engines; deltas are folded into the registry at
-/// block boundaries by record_sim_block().
-struct SimStats {
-    std::uint64_t events = 0;
-    std::uint64_t toggles = 0;
-    std::uint64_t glitches = 0;
-    std::uint64_t inertial_cancels = 0;
-    std::uint64_t queue_peak = 0;  // high-water; merged by max
-};
-
 /// Adds (now - last) to the calling thread's shard and advances `last`.
 /// Call once per completed block with the replica's cumulative stats.
 void record_sim_block(const SimStats& now, SimStats& last);
@@ -425,18 +415,6 @@ private:
 };
 
 // ----- progress / ETA ----------------------------------------------------
-
-struct ProgressUpdate {
-    std::string campaign;            // driver id ("des_tvla", "seq_0123")
-    std::size_t completed_traces = 0;
-    std::size_t total_traces = 0;
-    double elapsed_sec = 0.0;
-    double traces_per_sec = 0.0;     // rate since start (resume-corrected)
-    double eta_sec = 0.0;            // 0 when the rate is still unknown
-    bool final = false;              // last update of the run
-};
-
-using ProgressFn = std::function<void(const ProgressUpdate&)>;
 
 /// Heartbeat interval override for --progress flags: > 0 activates the
 /// stderr heartbeat regardless of GLITCHMASK_PROGRESS; 0 defers to the

@@ -385,6 +385,11 @@ TEST(AttributionReportV2, RoundTripsThroughJson) {
         EXPECT_EQ(net.module, want.module);
         EXPECT_EQ(net.toggles, want.toggles);
         EXPECT_EQ(net.glitches, want.glitches);
+        // The run record carries the same culprits, reduced to the
+        // fields the ledger's diff compares.
+        EXPECT_EQ(report->entry.attribution.at(i),
+                  (LedgerNet{net.net, net.name, net.max_abs_t, net.toggles,
+                             net.glitches}));
     }
     std::remove(config.run.report_path.c_str());
 }
@@ -392,7 +397,7 @@ TEST(AttributionReportV2, RoundTripsThroughJson) {
 TEST(AttributionReportV2, FullRangeCountersRoundTrip) {
     // Synthetic report with counters a double cannot represent exactly.
     RunReport report;
-    report.campaign = "attr_unit";
+    report.entry.campaign = "attr_unit";
     report.attribution.enabled = true;
     report.attribution.top_k = 1;
     report.attribution.traces_fixed =

@@ -441,11 +441,11 @@ TEST(CampaignResume, DefaultFingerprintsArePinned) {
         SCOPED_TRACE(pin.campaign);
         const std::optional<RunReport> report = read_run_report(report_path);
         ASSERT_TRUE(report.has_value());
-        EXPECT_EQ(report->fingerprint.kind, pin.kind);
-        EXPECT_EQ(report->fingerprint.seed, 1u);
-        EXPECT_EQ(report->fingerprint.traces, 64u);
-        EXPECT_EQ(report->fingerprint.block_size, 64u);
-        EXPECT_EQ(report->fingerprint.payload, pin.payload);
+        EXPECT_EQ(report->entry.fingerprint.kind, pin.kind);
+        EXPECT_EQ(report->entry.fingerprint.seed, 1u);
+        EXPECT_EQ(report->entry.fingerprint.traces, 64u);
+        EXPECT_EQ(report->entry.fingerprint.block_size, 64u);
+        EXPECT_EQ(report->entry.fingerprint.payload, pin.payload);
         std::remove(report_path.c_str());
     };
     const std::string dir = ::testing::TempDir() + "glitchmask_pin_";

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "obs/ledger.hpp"
 #include "obs/regression.hpp"
 #include "service/campaign_request.hpp"
+#include "support/snapshot.hpp"
 
 namespace {
 
@@ -112,6 +114,58 @@ TEST(LedgerTest, RoundTripsFullRangeValuesBitExactly) {
     // One canonical form: re-rendering the decoded entry reproduces the
     // file line byte for byte.
     EXPECT_EQ(render_ledger_line(back.entries[0]), slurp(path));
+}
+
+// The ledger's wire bytes, pinned: existing ledgers must stay readable
+// and their CRCs valid whichever layer owns the record's encoder.
+TEST(LedgerTest, LineBytesArePinned) {
+    EXPECT_EQ(
+        render_ledger_line(sample_entry("2026-08-09T10:00:00Z", 1.5)),
+        R"({"crc32":3491017323,"entry":{"schema":"glitchmask.ledger","version":1,)"
+        R"("source":"run_report","campaign":"gadget_trichina","fingerprint":)"
+        R"({"kind":13734038841060145951,"seed":1,"traces":2000,"block_size":64,)"
+        R"("payload":7},"revision":"0123456789abcdef0123456789abcdef01234567",)"
+        R"("host":"rig-a","utc":"2026-08-09T10:00:00Z","status":"completed",)"
+        R"("backend":"event","workers":4,"lanes":64,"wall_seconds":1.5,)"
+        R"("cpu_seconds":5.5500000000000007,"max_abs_t1":4.4408920985006262e-16,)"
+        R"("toggles":18446744073709551615,"attribution":[{"net":)"
+        R"(9223372036854775809,"name":"sbox.g3","max_abs_t":3.25,"toggles":)"
+        R"(1311768467463790320,"glitches":42},{"net":17,"name":"sbox.g7",)"
+        R"("max_abs_t":1,"toggles":100,"glitches":0}],"phases":[{"name":"sim",)"
+        R"("cpu_seconds":0.125,"wall_seconds":0.0625},{"name":"moments",)"
+        R"("cpu_seconds":0.25,"wall_seconds":0}],"metrics":{"max_abs_t_order2":)"
+        R"(1.9999999999999998,"traces_per_sec":123456.789}}})"
+        "\n");
+}
+
+// A line whose CRC holds but whose fields have the wrong JSON kind is
+// corrupt, not an entry with "" or 0 in place of the bad value.
+TEST(LedgerTest, WrongKindFieldUnderAValidCrcIsCorrupt) {
+    const std::string path = temp_path("wrong_kind.ndjson");
+    const LedgerEntry entry = sample_entry("2026-08-09T10:00:00Z", 1.5);
+    append_ledger(path, entry);
+    std::string text;
+    for (const auto& [valid, hostile] :
+         {std::pair<std::string, std::string>{"\"source\":\"run_report\"",
+                                              "\"source\":1"},
+          {"\"wall_seconds\":1.5", "\"wall_seconds\":\"x\""},
+          {"\"max_abs_t_order2\":1.9999999999999998",
+           "\"max_abs_t_order2\":true"}}) {
+        std::string body = eval::render_ledger_entry(entry);
+        const std::size_t at = body.find(valid);
+        ASSERT_NE(at, std::string::npos) << valid;
+        body.replace(at, valid.size(), hostile);
+        const std::uint32_t crc = crc32(
+            {reinterpret_cast<const std::uint8_t*>(body.data()), body.size()});
+        text += "{\"crc32\":" + std::to_string(crc) + ",\"entry\":" + body +
+                "}\n";
+    }
+    spit(path, slurp(path) + text);
+
+    const LedgerFile file = read_ledger(path);
+    ASSERT_EQ(file.entries.size(), 1u);
+    EXPECT_EQ(file.entries[0], entry);
+    EXPECT_EQ(file.corrupt_lines, 3u);
 }
 
 TEST(LedgerTest, MissingFileReadsEmpty) {
@@ -359,33 +413,21 @@ TEST(RegressionTest, OtherFingerprintsAndIncompleteRunsAreInvisible) {
 
 TEST(IngestTest, RunReportBecomesOneEntry) {
     eval::RunReport report;
-    report.campaign = "des_tvla";
-    report.fingerprint = test_fingerprint();
-    report.workers = 2;
-    report.lanes = 64;
-    report.revision = "cafe";
-    report.hostname = "rig-b";
-    report.utc = "2026-08-09T12:00:00Z";
-    report.wall_seconds = 2.5;
-    report.metrics.emplace_back("max_abs_t_order1", 3.75);
+    report.entry = sample_entry("2026-08-09T12:00:00Z", 2.5);
+    report.counters.values[static_cast<std::size_t>(
+        telemetry::Counter::kSimToggles)] = 99;  // a section, not the record
 
-    const std::string text = eval::render_run_report(report);
-    const std::vector<LedgerEntry> entries =
-        entries_from_file_text(text, IngestOverrides{});
+    const std::vector<LedgerEntry> entries = entries_from_file_text(
+        eval::render_run_report(report), IngestOverrides{});
     ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].source, "run_report");
-    EXPECT_EQ(entries[0].campaign, "des_tvla");
-    EXPECT_EQ(entries[0].fingerprint, report.fingerprint);
-    EXPECT_EQ(entries[0].revision, "cafe");
-    EXPECT_EQ(entries[0].host, "rig-b");
-    EXPECT_EQ(entries[0].max_abs_t1, 3.75);
+    EXPECT_EQ(entries[0], report.entry);
 }
 
 TEST(IngestTest, OverridesFillOnlyEmptyFields) {
     eval::RunReport report;
-    report.campaign = "des_tvla";
-    report.fingerprint = test_fingerprint();
-    report.revision = "";  // the producer could not resolve one
+    report.entry = sample_entry("", 2.5);
+    report.entry.revision = "";  // the producer could not resolve one
+    report.entry.host = "";
     const std::string text = eval::render_run_report(report);
 
     IngestOverrides overrides;
@@ -400,7 +442,7 @@ TEST(IngestTest, OverridesFillOnlyEmptyFields) {
     EXPECT_EQ(entries[0].utc, "2026-08-09T13:00:00Z");
 
     // A file that *does* carry attribution keeps it.
-    report.revision = "cafe";
+    report.entry.revision = "cafe";
     const std::vector<LedgerEntry> kept = entries_from_file_text(
         eval::render_run_report(report), overrides);
     EXPECT_EQ(kept.at(0).revision, "cafe");

@@ -145,7 +145,7 @@ TEST(CampaignRequestCodec, EncodeDecodeRoundTripsEveryKind) {
     for (const CampaignRequest& original : originals) {
         const std::string encoded = encode_request(original);
         const CampaignRequest decoded =
-            decode_request(eval::parse_json(encoded));
+            decode_request(parse_json(encoded));
         // Field-complete comparison via the canonical encoding.
         EXPECT_EQ(encode_request(decoded), encoded);
         EXPECT_EQ(fingerprint_hex(request_fingerprint(decoded)),
@@ -155,7 +155,7 @@ TEST(CampaignRequestCodec, EncodeDecodeRoundTripsEveryKind) {
 
 TEST(CampaignRequestCodec, RejectsMalformedRequests) {
     const auto decode = [](const std::string& text) {
-        return decode_request(eval::parse_json(text));
+        return decode_request(parse_json(text));
     };
     EXPECT_THROW((void)decode("{\"traces\":10}"), std::runtime_error);
     EXPECT_THROW((void)decode("{\"kind\":\"no_such_kind\"}"),
@@ -267,7 +267,7 @@ TEST(Protocol, RejectsMalformedLines) {
 
 TEST(JsonReader, AcceptsOnlyTheJsonNumberGrammar) {
     const auto number = [](const char* text) {
-        return eval::parse_json(text).as_number();
+        return parse_json(text).as_number();
     };
     EXPECT_EQ(number("0"), 0.0);
     EXPECT_EQ(number("-0"), 0.0);
@@ -275,15 +275,15 @@ TEST(JsonReader, AcceptsOnlyTheJsonNumberGrammar) {
     EXPECT_EQ(number("-1.5e-3"), -1.5e-3);
     EXPECT_EQ(number("1E+2"), 100.0);
     EXPECT_EQ(number("0.25"), 0.25);
-    EXPECT_EQ(eval::parse_json("18446744073709551615").unsigned_value,
+    EXPECT_EQ(parse_json("18446744073709551615").unsigned_value,
               18446744073709551615ull);
-    EXPECT_EQ(eval::parse_json("[1,-2]").array.size(), 2u);
+    EXPECT_EQ(parse_json("[1,-2]").array.size(), 2u);
 
     for (const char* bad :
          {"1-2", "1e", "1.2.3", "01", "-", "1.", ".5", "+1", "1e+", "--1",
           "0x10", "[1-2]", "{\"a\":1e}", "18446744073709551616", "1e999"}) {
         SCOPED_TRACE(bad);
-        EXPECT_THROW((void)eval::parse_json(bad), std::runtime_error);
+        EXPECT_THROW((void)parse_json(bad), std::runtime_error);
     }
 }
 
@@ -296,14 +296,14 @@ TEST(JsonReader, CapsNestingDepth) {
         for (std::size_t i = 0; i < depth; ++i) text += close;
         return text;
     };
-    const std::size_t cap = eval::kJsonMaxDepth;
-    EXPECT_NO_THROW((void)eval::parse_json(nested(cap, "[", "]")));
-    EXPECT_NO_THROW((void)eval::parse_json(nested(cap, "{\"a\":", "}")));
-    EXPECT_THROW((void)eval::parse_json(nested(cap + 1, "[", "]")),
+    const std::size_t cap = kJsonMaxDepth;
+    EXPECT_NO_THROW((void)parse_json(nested(cap, "[", "]")));
+    EXPECT_NO_THROW((void)parse_json(nested(cap, "{\"a\":", "}")));
+    EXPECT_THROW((void)parse_json(nested(cap + 1, "[", "]")),
                  std::runtime_error);
-    EXPECT_THROW((void)eval::parse_json(nested(cap + 1, "{\"a\":", "}")),
+    EXPECT_THROW((void)parse_json(nested(cap + 1, "{\"a\":", "}")),
                  std::runtime_error);
-    EXPECT_THROW((void)eval::parse_json(std::string(200000, '[')),
+    EXPECT_THROW((void)parse_json(std::string(200000, '[')),
                  std::runtime_error);
 }
 
@@ -335,11 +335,11 @@ TEST(Protocol, HistoryEncoderRoundTripsThroughTheJsonReader) {
     entry.max_abs_t1 = 3.5;
     entry.toggles = 0xFFFFFFFFFFFFFFFFull;
 
-    const eval::JsonValue reply =
-        eval::parse_json(encode_history("ab12", {entry, entry}));
+    const JsonValue reply =
+        parse_json(encode_history("ab12", {entry, entry}));
     EXPECT_EQ(reply.find("event")->string, "history");
     EXPECT_EQ(reply.find("fingerprint")->string, "ab12");
-    const eval::JsonValue* entries = reply.find("entries");
+    const JsonValue* entries = reply.find("entries");
     ASSERT_NE(entries, nullptr);
     ASSERT_EQ(entries->array.size(), 2u);
     EXPECT_EQ(entries->array[0].find("status")->string, "completed");
@@ -348,23 +348,23 @@ TEST(Protocol, HistoryEncoderRoundTripsThroughTheJsonReader) {
     EXPECT_EQ(entries->array[0].find("toggles")->unsigned_value,
               0xFFFFFFFFFFFFFFFFull);
 
-    const eval::JsonValue empty =
-        eval::parse_json(encode_history("ab12", {}));
+    const JsonValue empty =
+        parse_json(encode_history("ab12", {}));
     ASSERT_NE(empty.find("entries"), nullptr);
     EXPECT_TRUE(empty.find("entries")->array.empty());
 }
 
 TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
-    const eval::JsonValue accepted =
-        eval::parse_json(encode_accepted(5, "deadbeef"));
+    const JsonValue accepted =
+        parse_json(encode_accepted(5, "deadbeef"));
     EXPECT_EQ(accepted.find("event")->string, "accepted");
     EXPECT_EQ(accepted.find("job")->unsigned_value, 5u);
     EXPECT_EQ(accepted.find("fingerprint")->string, "deadbeef");
 
-    EXPECT_EQ(eval::parse_json(encode_overloaded()).find("event")->string,
+    EXPECT_EQ(parse_json(encode_overloaded()).find("event")->string,
               "overloaded");
     EXPECT_EQ(
-        eval::parse_json(encode_rejected("bad \"quoted\" reason"))
+        parse_json(encode_rejected("bad \"quoted\" reason"))
             .find("reason")
             ->string,
         "bad \"quoted\" reason");
@@ -374,8 +374,8 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     update.total_traces = 400;
     update.traces_per_sec = 123.5;
     update.eta_sec = 2.43;
-    const eval::JsonValue progress =
-        eval::parse_json(encode_progress(9, update));
+    const JsonValue progress =
+        parse_json(encode_progress(9, update));
     EXPECT_EQ(progress.find("event")->string, "progress");
     EXPECT_EQ(progress.find("completed")->unsigned_value, 100u);
     EXPECT_EQ(progress.find("total")->unsigned_value, 400u);
@@ -389,11 +389,11 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     completed.outcome.completed_traces = 256;
     completed.outcome.metrics = {{"max_abs_t_order1", 12.25},
                                  {"leaks_first_order", 1.0}};
-    const eval::JsonValue result = eval::parse_json(encode_result(completed));
+    const JsonValue result = parse_json(encode_result(completed));
     EXPECT_EQ(result.find("event")->string, "result");
     EXPECT_EQ(result.find("state")->string, "completed");
     EXPECT_EQ(result.find("completed_traces")->unsigned_value, 256u);
-    const eval::JsonValue* metrics = result.find("metrics");
+    const JsonValue* metrics = result.find("metrics");
     ASSERT_NE(metrics, nullptr);
     EXPECT_EQ(metrics->find("max_abs_t_order1")->as_number(), 12.25);
 
@@ -402,7 +402,7 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     failed.state = JobState::Failed;
     failed.error_kind = "io_failure";
     failed.error_message = "disk full";
-    const eval::JsonValue failure = eval::parse_json(encode_status(failed));
+    const JsonValue failure = parse_json(encode_status(failed));
     EXPECT_EQ(failure.find("event")->string, "status");
     EXPECT_EQ(failure.find("error_kind")->string, "io_failure");
     EXPECT_EQ(failure.find("error_message")->string, "disk full");
@@ -413,7 +413,7 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     stats.completed = 9;
     stats.cache_misses = 7;
     stats.queue_peak = 5;
-    const eval::JsonValue encoded = eval::parse_json(encode_stats(stats));
+    const JsonValue encoded = parse_json(encode_stats(stats));
     EXPECT_EQ(encoded.find("submitted")->unsigned_value, 11u);
     EXPECT_EQ(encoded.find("cache_hits")->unsigned_value, 4u);
     EXPECT_EQ(encoded.find("completed")->unsigned_value, 9u);
@@ -423,8 +423,8 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     // A terminal status with a span rollup carries it on the wire; a
     // non-terminal one never does.
     completed.spans = {{"execute", 1, 2500000}, {"queue_wait", 1, 1000}};
-    const eval::JsonValue traced = eval::parse_json(encode_result(completed));
-    const eval::JsonValue* spans = traced.find("spans");
+    const JsonValue traced = parse_json(encode_result(completed));
+    const JsonValue* spans = traced.find("spans");
     ASSERT_NE(spans, nullptr);
     ASSERT_EQ(spans->array.size(), 2u);
     EXPECT_EQ(spans->array[0].find("name")->string, "execute");
@@ -432,7 +432,7 @@ TEST(Protocol, EventEncodersRoundTripThroughTheJsonReader) {
     EXPECT_EQ(spans->array[0].find("total_ns")->unsigned_value, 2500000u);
     JobStatus running = completed;
     running.state = JobState::Running;
-    EXPECT_EQ(eval::parse_json(encode_status(running)).find("spans"),
+    EXPECT_EQ(parse_json(encode_status(running)).find("spans"),
               nullptr);
 }
 
@@ -457,30 +457,30 @@ TEST(Protocol, MetricsEncoderRoundTripsThroughTheJsonReader) {
     info.cache_hit_rate = 0.25;
     info.spool_bytes = 4096;
 
-    const eval::JsonValue doc =
-        eval::parse_json(encode_metrics(snapshot, info));
+    const JsonValue doc =
+        parse_json(encode_metrics(snapshot, info));
     EXPECT_EQ(doc.find("event")->string, "metrics");
-    const eval::JsonValue* counters = doc.find("counters");
+    const JsonValue* counters = doc.find("counters");
     ASSERT_NE(counters, nullptr);
     EXPECT_EQ(counters->find("service.jobs")->unsigned_value, 3u);
-    const eval::JsonValue* histograms = doc.find("histograms");
+    const JsonValue* histograms = doc.find("histograms");
     ASSERT_NE(histograms, nullptr);
-    const eval::JsonValue* wait_out =
+    const JsonValue* wait_out =
         histograms->find("service.queue_wait_nanos");
     ASSERT_NE(wait_out, nullptr);
     EXPECT_EQ(wait_out->find("count")->unsigned_value, 2u);
     EXPECT_EQ(wait_out->find("sum")->unsigned_value, 2048u);
     EXPECT_EQ(wait_out->find("max")->unsigned_value, 1024u);
-    const eval::JsonValue* buckets = wait_out->find("buckets");
+    const JsonValue* buckets = wait_out->find("buckets");
     ASSERT_NE(buckets, nullptr);
     ASSERT_EQ(buckets->array.size(), 1u);  // sparse: only occupied buckets
     ASSERT_EQ(buckets->array[0].array.size(), 2u);
     EXPECT_EQ(buckets->array[0].array[0].unsigned_value, 1024u);  // floor
     EXPECT_EQ(buckets->array[0].array[1].unsigned_value, 2u);
-    const eval::JsonValue* gauges = doc.find("gauges");
+    const JsonValue* gauges = doc.find("gauges");
     ASSERT_NE(gauges, nullptr);
     EXPECT_EQ(gauges->find("service.queue_depth")->unsigned_value, 4u);
-    const eval::JsonValue* svc = doc.find("service");
+    const JsonValue* svc = doc.find("service");
     ASSERT_NE(svc, nullptr);
     EXPECT_EQ(svc->find("queue_depth")->unsigned_value, 4u);
     EXPECT_EQ(svc->find("running")->unsigned_value, 1u);
@@ -700,6 +700,48 @@ TEST_F(ServiceTest, LedgerRecordsExecutedJobsButNotCacheHits) {
     for (const auto& [name, value] : reference.metrics)
         if (name == "max_abs_t_order1") expected_t1 = value;
     EXPECT_EQ(entry.max_abs_t1, expected_t1);
+}
+
+// The daemon's ledger append and a direct run's report build the record
+// by one rule: same fingerprint, same leakage facts, toggles included.
+TEST_F(ServiceTest, DaemonRecordAgreesWithTheDirectRunsReport) {
+    const std::string ledger =
+        ::testing::TempDir() + "glitchmask_service_des_ledger.ndjson";
+    const std::string report_path =
+        ::testing::TempDir() + "glitchmask_service_des.report.json";
+    std::remove(ledger.c_str());
+    CampaignRequest request = default_request(CampaignKind::DesTvla);
+    request.traces = 32;
+    request.block_size = 16;
+    request.workers = 1;
+
+    ServiceConfig config = service_config(1);
+    config.ledger_path = ledger;
+    CampaignService svc(config);
+    ASSERT_EQ(svc.submit(request).kind,
+              CampaignService::SubmitResult::Kind::Accepted);
+    svc.wait_idle();
+    svc.shutdown(false);
+
+    eval::CampaignRunOptions run;
+    run.report_path = report_path;
+    (void)run_campaign_request(request, std::move(run));
+    const std::optional<eval::RunReport> report =
+        eval::read_run_report(report_path);
+    std::remove(report_path.c_str());
+    ASSERT_TRUE(report.has_value());
+    const obs::LedgerFile file = obs::read_ledger(ledger);
+    std::remove(ledger.c_str());
+    ASSERT_EQ(file.entries.size(), 1u);
+
+    const obs::LedgerEntry& daemon = file.entries[0];
+    const eval::LedgerEntry& direct = report->entry;
+    EXPECT_EQ(daemon.source, "service");
+    EXPECT_EQ(direct.source, "run_report");
+    EXPECT_EQ(daemon.fingerprint, direct.fingerprint);
+    EXPECT_EQ(daemon.max_abs_t1, direct.max_abs_t1);
+    EXPECT_GT(direct.toggles, 0u);
+    EXPECT_EQ(daemon.toggles, direct.toggles);
 }
 
 TEST_F(ServiceTest, HigherPriorityJumpsTheQueue) {
@@ -1363,12 +1405,12 @@ TEST_F(ServiceTest, TracedJobExportsAChromeTraceTree) {
     ASSERT_TRUE(in.good()) << path;
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const eval::JsonValue doc = eval::parse_json(buffer.str());
-    const eval::JsonValue* events = doc.find("traceEvents");
+    const JsonValue doc = parse_json(buffer.str());
+    const JsonValue* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     std::string root_id;
     std::string execute_id;
-    for (const eval::JsonValue& event : events->array) {
+    for (const JsonValue& event : events->array) {
         if (event.find("name")->string == "job")
             root_id = event.find("args")->find("id")->string;
         else if (event.find("name")->string == "execute")
@@ -1376,7 +1418,7 @@ TEST_F(ServiceTest, TracedJobExportsAChromeTraceTree) {
     }
     ASSERT_FALSE(root_id.empty());
     ASSERT_FALSE(execute_id.empty());
-    for (const eval::JsonValue& event : events->array) {
+    for (const JsonValue& event : events->array) {
         const std::string& name = event.find("name")->string;
         const std::string& parent =
             event.find("args")->find("parent")->string;

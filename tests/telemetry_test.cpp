@@ -434,35 +434,44 @@ TEST(TelemetryCampaign, EnablingTelemetryIsBitIdentical) {
 // ----- run reports -------------------------------------------------------
 
 TEST(RunReport, JsonParserReadsScalarsExactly) {
-    const eval::JsonValue doc = eval::parse_json(
+    const JsonValue doc = parse_json(
         R"({"a": 18446744073709551615, "b": -2.5, "c": "x\"\nA",
             "d": [true, false, null], "e": {"nested": 1}})");
-    ASSERT_EQ(doc.kind, eval::JsonValue::Kind::kObject);
+    ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
     ASSERT_NE(doc.find("a"), nullptr);
-    EXPECT_EQ(doc.find("a")->kind, eval::JsonValue::Kind::kUnsigned);
+    EXPECT_EQ(doc.find("a")->kind, JsonValue::Kind::kUnsigned);
     EXPECT_EQ(doc.find("a")->unsigned_value, 18446744073709551615ull);
     EXPECT_DOUBLE_EQ(doc.find("b")->as_number(), -2.5);
     EXPECT_EQ(doc.find("c")->string, "x\"\nA");
     ASSERT_EQ(doc.find("d")->array.size(), 3u);
     EXPECT_TRUE(doc.find("d")->array[0].boolean);
     EXPECT_EQ(doc.find("e")->find("nested")->unsigned_value, 1u);
-    EXPECT_THROW((void)eval::parse_json("{\"unterminated\": "),
+    EXPECT_THROW((void)parse_json("{\"unterminated\": "),
                  std::runtime_error);
-    EXPECT_THROW((void)eval::parse_json("{} trailing"), std::runtime_error);
+    EXPECT_THROW((void)parse_json("{} trailing"), std::runtime_error);
 }
 
 TEST(RunReport, RoundTripKeepsEveryFieldExact) {
     eval::RunReport report;
-    report.campaign = "round_trip";
+    eval::LedgerEntry& entry = report.entry;
+    entry.source = "run_report";
+    entry.campaign = "round_trip";
     // Fingerprint words exercise the full u64 range -- a double round-trip
     // would corrupt them.
-    report.fingerprint = {0xFFFFFFFFFFFFFFFFull, 0x8000000000000001ull,
-                          1234567, 64, 0xDEADBEEFCAFEF00Dull};
-    report.workers = 8;
-    report.lanes = 64;
-    report.wall_seconds = 12.75;
-    report.cpu_seconds = 98.5;
-    report.telemetry_enabled = true;
+    entry.fingerprint = {0xFFFFFFFFFFFFFFFFull, 0x8000000000000001ull,
+                         1234567, 64, 0xDEADBEEFCAFEF00Dull};
+    entry.revision = "cafe";
+    entry.host = "rig";
+    entry.utc = "2026-08-09T12:00:00Z";
+    entry.workers = 8;
+    entry.lanes = 64;
+    entry.wall_seconds = 12.75;
+    entry.cpu_seconds = 98.5;
+    entry.max_abs_t1 = 4.125;
+    entry.toggles = 1000000;
+    entry.attribution = {{7, "g0.t1", 9.5, 12, 3}};
+    entry.phases = {{"sim", 1.5, 0.75}};
+    entry.metrics = {{"max_abs_t_order1", 4.125}, {"toggles", 1e6}};
     report.counters.values[static_cast<std::size_t>(
         telemetry::Counter::kSimEvents)] = 0xFFFFFFFFFFFFFFFEull;
     report.counters.values[static_cast<std::size_t>(
@@ -471,47 +480,45 @@ TEST(RunReport, RoundTripKeepsEveryFieldExact) {
     report.progress.completed_traces = 1216;
     report.progress.resumed = true;
     report.progress.cancelled = false;
-    report.checkpoint_blocks = {16, 19};
-    report.metrics = {{"max_abs_t_order1", 4.125}, {"toggles", 1e6}};
+    report.progress.checkpoint_blocks = {16, 19};
 
     const std::string path = temp_path("roundtrip.report.json");
     eval::write_run_report(path, report);
     const auto read = eval::read_run_report(path);
     std::remove(path.c_str());
     ASSERT_TRUE(read.has_value());
-    EXPECT_EQ(read->campaign, report.campaign);
-    EXPECT_EQ(read->fingerprint.kind, report.fingerprint.kind);
-    EXPECT_EQ(read->fingerprint.seed, report.fingerprint.seed);
-    EXPECT_EQ(read->fingerprint.traces, report.fingerprint.traces);
-    EXPECT_EQ(read->fingerprint.block_size, report.fingerprint.block_size);
-    EXPECT_EQ(read->fingerprint.payload, report.fingerprint.payload);
-    EXPECT_EQ(read->workers, report.workers);
-    EXPECT_EQ(read->lanes, report.lanes);
-    EXPECT_DOUBLE_EQ(read->wall_seconds, report.wall_seconds);
-    EXPECT_DOUBLE_EQ(read->cpu_seconds, report.cpu_seconds);
-    EXPECT_TRUE(read->telemetry_enabled);
+    EXPECT_EQ(read->entry, report.entry);
     EXPECT_EQ(read->counters.values, report.counters.values);
     EXPECT_EQ(read->progress.completed_blocks, report.progress.completed_blocks);
     EXPECT_EQ(read->progress.completed_traces, report.progress.completed_traces);
     EXPECT_TRUE(read->progress.resumed);
     EXPECT_FALSE(read->progress.cancelled);
-    EXPECT_EQ(read->checkpoint_blocks, report.checkpoint_blocks);
-    ASSERT_EQ(read->metrics.size(), report.metrics.size());
-    for (std::size_t i = 0; i < report.metrics.size(); ++i) {
-        EXPECT_EQ(read->metrics[i].first, report.metrics[i].first);
-        EXPECT_DOUBLE_EQ(read->metrics[i].second, report.metrics[i].second);
-    }
+    EXPECT_EQ(read->progress.checkpoint_blocks,
+              report.progress.checkpoint_blocks);
     EXPECT_FALSE(eval::read_run_report(temp_path("missing.report.json"))
                      .has_value());
+}
+
+// A v5 report carries the run record under "entry" in the ledger's own
+// bytes.
+TEST(RunReport, RecordIsWrittenWithTheLedgerEncoder) {
+    eval::RunReport report;
+    report.entry.campaign = "v5";
+    report.entry.toggles = 0xFFFFFFFFFFFFFFFFull;
+    EXPECT_NE(eval::render_run_report(report).find(
+                  "\"entry\":" + eval::render_ledger_entry(report.entry) +
+                  ","),
+              std::string::npos);
 }
 
 // A report whose values have the wrong JSON kind must fail to read, not
 // read as 0 or "" -- the ledger would store that 0 as a leakage fact.
 // One hostile value per field kind the reader takes: u64 (a counter, a
-// histogram bucket pair, a checkpoint mark), string and bool.
+// histogram bucket pair, a checkpoint mark), string, bool and number.
 TEST(RunReport, ReaderRejectsValuesOfTheWrongKind) {
     eval::RunReport report;
-    report.campaign = "hostile";
+    report.entry.campaign = "hostile";
+    report.entry.wall_seconds = 1.5;
     report.counters.values[static_cast<std::size_t>(
         telemetry::Counter::kSimToggles)] = 7;
     auto& traces = report.counters.histograms[static_cast<std::size_t>(
@@ -520,10 +527,10 @@ TEST(RunReport, ReaderRejectsValuesOfTheWrongKind) {
     traces.count = 6;
     traces.sum = 96;
     traces.max = 16;
-    report.checkpoint_blocks = {4, 8};
+    report.progress.checkpoint_blocks = {4, 8};
     const std::string text = eval::render_run_report(report);
     const auto decode = [](const std::string& json) {
-        return eval::decode_run_report(eval::parse_json(json));
+        return eval::decode_run_report(parse_json(json));
     };
     EXPECT_EQ(decode(text).counters.values, report.counters.values);
 
@@ -536,6 +543,7 @@ TEST(RunReport, ReaderRejectsValuesOfTheWrongKind) {
         {"\"checkpoint_blocks\":[4,8]", "\"checkpoint_blocks\":[4,\"x\"]"},
         {"\"campaign\":\"hostile\"", "\"campaign\":7"},
         {"\"resumed\":false", "\"resumed\":0"},
+        {"\"wall_seconds\":1.5", "\"wall_seconds\":\"x\""},
     };
     for (const auto& [valid, hostile] : kHostile) {
         std::string bad = text;
@@ -559,19 +567,21 @@ TEST(RunReport, DriverWritesAValidatedReport) {
     const auto report = eval::read_run_report(path);
     std::remove(path.c_str());
     ASSERT_TRUE(report.has_value());
-    EXPECT_EQ(report->fingerprint.seed, 5u);
-    EXPECT_EQ(report->fingerprint.traces, 96u);
-    EXPECT_EQ(report->workers, 2u);
-    EXPECT_EQ(report->lanes, 64u);
-    EXPECT_TRUE(report->telemetry_enabled);
-    EXPECT_GT(report->wall_seconds, 0.0);
+    EXPECT_EQ(report->entry.source, "run_report");
+    EXPECT_EQ(report->entry.status, "completed");
+    EXPECT_EQ(report->entry.fingerprint.seed, 5u);
+    EXPECT_EQ(report->entry.fingerprint.traces, 96u);
+    EXPECT_EQ(report->entry.workers, 2u);
+    EXPECT_EQ(report->entry.lanes, 64u);
+    EXPECT_GT(report->entry.wall_seconds, 0.0);
+    EXPECT_EQ(report->entry.max_abs_t1, result.max_abs_t1);
     EXPECT_GT(report->counters.value(telemetry::Counter::kSimEvents), 0u);
     EXPECT_EQ(
         report->counters.histogram(telemetry::Histogram::kBlockTraces).sum,
         96u);
     EXPECT_EQ(report->progress.completed_traces, 96u);
     bool has_t1 = false;
-    for (const auto& [name, value] : report->metrics)
+    for (const auto& [name, value] : report->entry.metrics)
         if (name == "max_abs_t_order1") {
             has_t1 = true;
             EXPECT_DOUBLE_EQ(value, result.max_abs_t1);

@@ -256,7 +256,7 @@ TEST_F(CheckpointHistoryTest, NoSnapshotPathRecordsNoMarks) {
     // The hook still fires after every wave of the default 16-block cadence.
     EXPECT_EQ(waves, (std::vector<std::size_t>{16, 32, 40}));
     EXPECT_TRUE(progress.checkpoint_blocks.empty());
-    EXPECT_TRUE(report.checkpoint_blocks.empty());
+    EXPECT_TRUE(report.progress.checkpoint_blocks.empty());
     EXPECT_EQ(report.counters
                   .histogram(telemetry::Histogram::kCheckpointWriteNanos)
                   .count,
@@ -270,7 +270,7 @@ TEST_F(CheckpointHistoryTest, OneMarkPerSnapshotWrite) {
     const auto [progress, report] = run(16, options);
     const std::vector<std::uint64_t> marks{4, 8, 12, 16};
     EXPECT_EQ(progress.checkpoint_blocks, marks);
-    EXPECT_EQ(report.checkpoint_blocks, marks);
+    EXPECT_EQ(report.progress.checkpoint_blocks, marks);
     EXPECT_EQ(report.counters
                   .histogram(telemetry::Histogram::kCheckpointWriteNanos)
                   .count,
@@ -290,7 +290,7 @@ TEST_F(CheckpointHistoryTest, NoMarksAfterWritesDegrade) {
     EXPECT_TRUE(progress.checkpoint_degraded);
     EXPECT_EQ(progress.completed_blocks, 16u);
     EXPECT_EQ(progress.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
-    EXPECT_EQ(report.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
+    EXPECT_EQ(report.progress.checkpoint_blocks, (std::vector<std::uint64_t>{4}));
     EXPECT_EQ(report.counters
                   .histogram(telemetry::Histogram::kCheckpointWriteNanos)
                   .count,

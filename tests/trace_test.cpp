@@ -197,12 +197,12 @@ TEST(ChromeTrace, RenderedJsonIsWellFormed) {
     spans[1].begin_ns = 2000;
     spans[1].end_ns = 2100;
 
-    const eval::JsonValue doc =
-        eval::parse_json(trace::render_chrome_trace(spans));
-    const eval::JsonValue* events = doc.find("traceEvents");
+    const JsonValue doc =
+        parse_json(trace::render_chrome_trace(spans));
+    const JsonValue* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_EQ(events->array.size(), 2u);
-    for (const eval::JsonValue& event : events->array) {
+    for (const JsonValue& event : events->array) {
         ASSERT_NE(event.find("ph"), nullptr);
         EXPECT_EQ(event.find("ph")->string, "X");  // complete events
         EXPECT_NE(event.find("name"), nullptr);
@@ -212,12 +212,12 @@ TEST(ChromeTrace, RenderedJsonIsWellFormed) {
         EXPECT_NE(event.find("tid"), nullptr);
         ASSERT_NE(event.find("args"), nullptr);
     }
-    const eval::JsonValue& exec = events->array[0];
+    const JsonValue& exec = events->array[0];
     EXPECT_EQ(exec.find("name")->string, "execute \"q\"\n");
     EXPECT_DOUBLE_EQ(exec.find("ts")->as_number(), 1.5);    // 1500 ns in us
     EXPECT_DOUBLE_EQ(exec.find("dur")->as_number(), 3.0);   // 3000 ns
     EXPECT_EQ(exec.find("args")->find("job")->string, "9");
-    const eval::JsonValue& block = events->array[1];
+    const JsonValue& block = events->array[1];
     EXPECT_EQ(block.find("args")->find("parent")->string, "7");
     EXPECT_EQ(block.find("args")->find("id")->string, "8");
 }
@@ -230,8 +230,8 @@ TEST(ChromeTrace, ThreadIndexBecomesTheTid) {
     spans[1].id = 2;
     spans[1].name = "b";
     spans[1].thread = 0;
-    const eval::JsonValue doc =
-        eval::parse_json(trace::render_chrome_trace(spans));
+    const JsonValue doc =
+        parse_json(trace::render_chrome_trace(spans));
     const auto& events = doc.find("traceEvents")->array;
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].find("tid")->unsigned_value, 2u);
@@ -248,7 +248,7 @@ TEST(ChromeTrace, WriteExportsALoadableFile) {
     const std::string text = read_file(path);
     std::remove(path.c_str());
     ASSERT_FALSE(text.empty());
-    const eval::JsonValue doc = eval::parse_json(text);
+    const JsonValue doc = parse_json(text);
     ASSERT_NE(doc.find("traceEvents"), nullptr);
     ASSERT_EQ(doc.find("traceEvents")->array.size(), 1u);
     EXPECT_EQ(doc.find("traceEvents")->array[0].find("name")->string, "job");
@@ -458,11 +458,10 @@ TEST(TraceCampaign, DisabledInstrumentsLeaveNoTrace) {
 
 TEST(RunReportV3, RoundTripKeepsHistogramsAndSpans) {
     eval::RunReport report;
-    report.campaign = "v3_round_trip";
-    report.fingerprint = {1, 2, 3, 4, 5};
-    report.workers = 2;
-    report.lanes = 64;
-    report.telemetry_enabled = true;
+    report.entry.campaign = "v3_round_trip";
+    report.entry.fingerprint = {1, 2, 3, 4, 5};
+    report.entry.workers = 2;
+    report.entry.lanes = 64;
 
     auto& execute = report.counters.histograms[static_cast<std::size_t>(
         telemetry::Histogram::kExecuteNanos)];
@@ -507,17 +506,23 @@ TEST(RunReportV3, ReaderRejectsAnUnknownVersion) {
                    "resumed": false, "cancelled": false},
       "checkpoint_blocks": [],
       "metrics": {})";
-    const std::string text =
-        std::string("{\"schema\": \"glitchmask.run_report\", "
-                    "\"version\": 99,") +
-        common + "}\n";
-    const std::string path = temp_path("future.report.json");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << text;
+    // A v4 report and a future one are refused by type, before any field
+    // is read.
+    for (const char* version : {"4", "99"}) {
+        const std::string text =
+            std::string("{\"schema\": \"glitchmask.run_report\", "
+                        "\"version\": ") +
+            version + "," + common + "}\n";
+        const std::string path = temp_path("future.report.json");
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << text;
+        }
+        EXPECT_THROW((void)eval::read_run_report(path),
+                     eval::RunReportVersionError)
+            << version;
+        std::remove(path.c_str());
     }
-    EXPECT_THROW((void)eval::read_run_report(path), std::runtime_error);
-    std::remove(path.c_str());
 }
 
 TEST(RunReportV3, SessionExportsTraceViaEnvDir) {
@@ -539,11 +544,11 @@ TEST(RunReportV3, SessionExportsTraceViaEnvDir) {
     const std::string text = read_file(path);
     std::remove(path.c_str());
     ASSERT_FALSE(text.empty()) << "session did not export " << path;
-    const eval::JsonValue doc = eval::parse_json(text);
-    const eval::JsonValue* events = doc.find("traceEvents");
+    const JsonValue doc = parse_json(text);
+    const JsonValue* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     bool saw_block = false;
-    for (const eval::JsonValue& event : events->array)
+    for (const JsonValue& event : events->array)
         if (event.find("name") != nullptr &&
             event.find("name")->string == "block")
             saw_block = true;
